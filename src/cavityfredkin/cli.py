@@ -30,7 +30,7 @@ from cavityfredkin.model import PhysParams
 from cavityfredkin.propagate import (
     DecayParams,
     evolve_density,
-    evolve_state,
+    evolve_states,
     population_series,
 )
 from cavityfredkin.pulses import DriveSchedule, dispersive_gate_time, resonant_gate_time
@@ -293,15 +293,16 @@ def run_populations(cfg: ExperimentConfig) -> dict:
     stem, dot, ext = cfg.output.rpartition(".")
     if not dot:
         stem, ext = cfg.output, "csv"
-    files = []
-    for q in range(8):
-        if decay.dissipative:
-            psi = qubit_embedding(space, q)
-            traj = evolve_density(h, decay, np.outer(psi, psi.conj()),
-                                  schedule.total_time, dt=cfg.dt_over_invg)
-        else:
-            traj = evolve_state(h, qubit_embedding(space, q),
+    kets = np.stack([qubit_embedding(space, q) for q in range(8)], axis=1)
+    if decay.dissipative:
+        # one input at a time: eight sampled density series would hold ~300 MB
+        trajs = (evolve_density(h, decay, np.outer(psi, psi.conj()),
                                 schedule.total_time, dt=cfg.dt_over_invg)
+                 for psi in kets.T)
+    else:
+        trajs = evolve_states(h, kets, schedule.total_time, dt=cfg.dt_over_invg)
+    files = []
+    for q, traj in enumerate(trajs):
         pops = population_series(traj, targets)
         path = f"{stem}_from_q{q}.{ext}"
         with open(path, "w") as fh:
@@ -403,14 +404,28 @@ def _json_default(obj):
 
 
 def sweep(config: ExperimentConfig, parameter: str, grid) -> dict:
-    """Programmatic sweep entry: installs the grid bounds, then runs."""
+    """Programmatic sweep entry: installs the grid bounds, then runs.
+
+    A configuration records a grid as start, stop and point count, so
+    ``grid`` must be ascending and evenly spaced: it has to equal
+    ``np.linspace(grid[0], grid[-1], len(grid))`` to 1e-12 relative to its
+    largest value.  Any other grid raises ValueError.
+    """
     grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or len(grid) < 2 or not grid[-1] > grid[0]:
+        raise ValueError("grid must be an ascending 1-D sequence of at least 2 values")
+    spaced = np.linspace(grid[0], grid[-1], len(grid))
+    if np.abs(grid - spaced).max() > 1e-12 * np.abs(grid).max():
+        raise ValueError(
+            f"grid {grid.tolist()} is not evenly spaced; a sweep runs "
+            f"np.linspace(start, stop, points), here {spaced.tolist()}"
+        )
     cfg = replace(
         config,
         task="sweep",
         sweep_parameter=parameter,
-        sweep_start=float(grid.min()),
-        sweep_stop=float(grid.max()),
+        sweep_start=float(grid[0]),
+        sweep_stop=float(grid[-1]),
         sweep_points=len(grid),
     )
     return run_experiment(cfg)

@@ -196,6 +196,35 @@ class TestSweepTask:
         )
         summary = sweep(cfg, "kappa_over_g", [0.0, 0.005])
         assert len(summary["rows"]) == 2
+
+    @pytest.mark.parametrize("grid", [
+        [0.02, 0.05, 0.1],  # uneven: linspace would run 0.06
+        [0.1, 0.05, 0.02],  # descending
+        [0.05, 0.05],
+        [0.05],
+        [[0.02, 0.05], [0.08, 0.1]],
+    ])
+    def test_programmatic_grid_must_be_linspace(self, tmp_path, grid):
+        cfg = ExperimentConfig(scheme="dispersive", output=str(tmp_path / "bad.csv"))
+        with pytest.raises(ValueError, match="grid"):
+            sweep(cfg, "Omega_over_g", grid)
+        assert not (tmp_path / "bad.csv").exists()
+
+    def test_programmatic_grid_runs_its_values(self, tmp_path, monkeypatch):
+        import cavityfredkin.cli as cli_mod
+
+        def fake_point(point_cfg):
+            return {"scheme": point_cfg["scheme"],
+                    "drive": float(point_cfg["Omega_over_g"]), "fidelity": 1.0,
+                    "leakage": 0.0, "trace_drift": 0.0, "seconds": 0.0}
+
+        monkeypatch.setattr(cli_mod, "_fidelity_point", fake_point)
+        grid = [0.02, 0.04, 0.06, 0.08, 0.1]
+        cfg = ExperimentConfig(scheme="dispersive", output=str(tmp_path / "g.csv"),
+                               workers=1)
+        summary = sweep(cfg, "Omega_over_g", grid)
+        assert [r["drive"] for r in summary["rows"]] == pytest.approx(grid, rel=1e-12)
+
     def test_failed_point_recorded_in_row(self, tmp_path, monkeypatch, capsys):
         import cavityfredkin.cli as cli_mod
 

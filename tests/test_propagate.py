@@ -15,9 +15,11 @@ from cavityfredkin.propagate import (
     DrivenOperator,
     IntegrationError,
     LindbladGenerator,
+    _power_apply,
     evolve_density,
     evolve_density_final,
     evolve_state,
+    evolve_states,
     evolve_states_final,
     jump_operators,
     population_series,
@@ -50,6 +52,27 @@ def resonant_drive(space, om_max):
         ),
         sched.total_time,
     )
+
+
+def vectorized_generator(space, h, decay):
+    """Full row-major vec(rho) generator L0 + sum of dissipators, built here
+    independently of the propagator's own superoperator code."""
+    dim = space.dim
+    ident = sp.identity(dim, format="csr", dtype=complex)
+    hm = h.matrix
+    lsup = -1j * (sp.kron(hm, ident) - sp.kron(ident, hm.T))
+    for rate, c in jump_operators(space, decay):
+        cm = c.matrix
+        cdc = cm.conj().T @ cm
+        lsup = lsup + rate * (
+            sp.kron(cm, cm.conj()) - 0.5 * (sp.kron(cdc, ident) + sp.kron(ident, cdc.T))
+        )
+    return lsup.tocsr()
+
+
+def sparse_max(m):
+    m = sp.csr_matrix(m)
+    return float(np.abs(m.data).max()) if m.nnz else 0.0
 
 
 class TestEvolveState:
@@ -144,6 +167,36 @@ class TestEvolveState:
             evolve_state(h, np.array([1.0, 0.0], dtype=complex), t_final, dt=0.05)
 
 
+class TestEvolveStates:
+    def test_stack_matches_single_kets(self, sector):
+        h, t_gate = resonant_drive(sector, 0.1)
+        kets = np.stack([qubit_embedding(sector, q) for q in (0, 5, 6)], axis=1)
+        trajs = evolve_states(h, kets, t_gate, n_samples=40)
+        assert len(trajs) == 3
+        for j, traj in enumerate(trajs):
+            alone = evolve_state(h, kets[:, j], t_gate, n_samples=40)
+            assert np.array_equal(traj.times, alone.times)
+            assert np.abs(traj.states - alone.states).max() < 1e-13
+            assert traj.metadata["n_steps"] == alone.metadata["n_steps"]
+
+    def test_rejects_unnormalized_column(self, sector):
+        kets = np.stack([qubit_embedding(sector, 0), 2 * qubit_embedding(sector, 1)], axis=1)
+        with pytest.raises(ValueError, match="normalized"):
+            evolve_states(SparseOperator.zero(sector), kets, 1.0)
+
+    def test_drift_abort_names_the_column(self):
+        space = two_level_space()
+        x = SparseOperator(space, sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)))
+        t_final = 40.0
+        h = DrivenOperator(
+            static=SparseOperator.zero(space),
+            drive=x,
+            amplitude=lambda t: 10.0 * np.sin(256 * np.pi * t / t_final) ** 2,
+        )
+        with pytest.raises(IntegrationError, match="norm drift"):
+            evolve_states(h, np.eye(2, dtype=complex), t_final, dt=0.05)
+
+
 class TestSectorRestriction:
     def test_sector_and_full_space_trajectories_agree(self, sector):
         full = build_space(fock_cap=2)
@@ -229,15 +282,7 @@ class TestEvolveDensity:
         h = full_hamiltonian(tiny, PhysParams.resonant(), 0.05, -0.05)
         decay = DecayParams(kappa=0.05, gamma=0.03)
         dim = tiny.dim
-        ident = sp.identity(dim, format="csr", dtype=complex)
-        lsup = (-1j * (sp.kron(h.matrix, ident) - sp.kron(ident, h.matrix.T))).toarray()
-        for rate, c in jump_operators(tiny, decay):
-            cm = c.toarray()
-            cdc = cm.conj().T @ cm
-            lsup += rate * (
-                np.kron(cm, cm.conj())
-                - 0.5 * (np.kron(cdc, np.eye(dim)) + np.kron(np.eye(dim), cdc.T))
-            )
+        lsup = vectorized_generator(tiny, h, decay).toarray()
         psi0 = qubit_embedding(tiny, 6)
         rho0 = np.outer(psi0, psi0.conj())
         t_final = 3.0
@@ -265,6 +310,8 @@ class TestEvolveDensity:
         gen = LindbladGenerator(tiny, h, DecayParams(kappa=0.1, gamma=0.1))
         counts = sum(len(c["idx"]) for c in gen.chains)
         assert counts == tiny.dim**2
+        union = np.sort(np.concatenate([c["idx"] for c in gen.chains]))
+        assert np.array_equal(union, np.arange(tiny.dim**2))
         # closure: the full generator has no elements between chains
         dim = tiny.dim
         ident = sp.identity(dim, format="csr", dtype=complex)
@@ -284,6 +331,140 @@ class TestEvolveDensity:
         rho0 = np.outer(tiny.basis_vector(i), tiny.basis_vector(i))
         with pytest.raises(IntegrationError, match="trace drift"):
             evolve_density(h, decay, rho0, 10.0, dt=0.05)
+
+
+class TestRealChainForm:
+    """The delta = 0 chain runs in real Hermitian coordinates."""
+
+    @pytest.mark.parametrize("scheme", ["resonant", "dispersive"])
+    def test_basis_unitary_and_generators_real(self, sector, scheme):
+        decay = DecayParams(kappa=0.01, gamma=0.02)
+        if scheme == "resonant":
+            drive_h, _ = resonant_drive(sector, 0.05)
+            static, drive = drive_h.static, drive_h.drive
+        else:
+            static = full_hamiltonian(sector, PhysParams.dispersive(), 0.1, -0.1)
+            drive = None
+        gen = LindbladGenerator(sector, static, decay, drive, None)
+        l0 = vectorized_generator(sector, static, decay)
+        zero = DecayParams()
+        ld = vectorized_generator(sector, drive, zero) if drive is not None else None
+        for chain in gen.chains:
+            idx = chain["idx"]
+            u = chain["basis"]
+            if chain["delta"] != 0:
+                assert u is None
+                assert sparse_max(chain["l0"] - l0[idx][:, idx]) < 1e-15
+                continue
+            assert sparse_max(u @ u.conj().T - sp.identity(len(idx))) < 1e-15
+            assert chain["l0"].dtype == np.float64
+            expect = u @ l0[idx][:, idx] @ u.conj().T
+            assert sparse_max(chain["l0"] - expect) < 1e-12 * sparse_max(expect)
+            if drive is None:
+                assert chain["ld"] is None
+            else:
+                assert chain["ld"].dtype == np.float64
+                expect = u @ ld[idx][:, idx] @ u.conj().T
+                assert sparse_max(chain["ld"] - expect) < 1e-12 * sparse_max(expect)
+
+    def test_hermitian_input_has_real_coordinates(self, sector):
+        h = full_hamiltonian(sector, PhysParams.dispersive(), 0.1, -0.1)
+        gen = LindbladGenerator(sector, h, DecayParams())
+        (chain,) = [c for c in gen.chains if c["delta"] == 0]
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((sector.dim, sector.dim)) + 1j * rng.standard_normal((sector.dim, sector.dim))
+        coords = chain["basis"] @ (a + a.conj().T).reshape(-1)[chain["idx"]]
+        assert np.abs(coords.imag).max() < 1e-14
+
+    def test_non_hermitian_generator_raises(self, tiny):
+        h = full_hamiltonian(tiny, PhysParams.resonant(), 0.05, -0.05)
+        skew = SparseOperator(tiny, h.matrix + sp.triu(h.matrix, k=1))
+        with pytest.raises(ValueError, match="Hermiticity"):
+            LindbladGenerator(tiny, skew, DecayParams(kappa=0.1))
+
+    def test_dispersive_final_states_match_complex_step_map(self, sector):
+        """Real-coordinate powering against the complex RK4 step map of the
+        whole vectorized generator, applied n times."""
+        from cavityfredkin.channel import _oriented_pairs, _register_indices
+
+        h = full_hamiltonian(sector, PhysParams.dispersive(), 0.1, -0.1)
+        decay = DecayParams(kappa=0.01, gamma=0.01)
+        reg = _register_indices(sector)
+        pairs = _oriented_pairs()
+        units = np.zeros((len(pairs), sector.dim, sector.dim), dtype=complex)
+        for k, (m, n) in enumerate(pairs):
+            units[k, reg[m], reg[n]] = 1.0
+        # 256 steps with 16 delta = 0 inputs (32 real columns): one squaring,
+        # then 128 direct products
+        n_steps, dt = 256, 0.01
+        got = evolve_density_final(h, decay, units, n_steps * dt, dt=dt)
+
+        a = (dt * vectorized_generator(sector, h, decay)).tocsr()
+        x = units.reshape(len(pairs), -1).T.copy()
+        for _ in range(n_steps):
+            y = x
+            for div in (4.0, 3.0, 2.0, 1.0):
+                y = x + (a @ y) / div
+            x = y
+        expected = x.T.reshape(units.shape)
+        assert np.abs(got - expected).max() < 1e-10
+
+
+class TestAmplitudeEvaluations:
+    """The drive is evaluated once per distinct RK4 stage time: 2 n + 1
+    values for n steps, shared by every chain and input column."""
+
+    @staticmethod
+    def counting(sched):
+        calls = []
+
+        def amp(t):
+            calls.append(t)
+            return sched.amplitude(t)
+
+        return amp, calls
+
+    def test_lindblad_loop(self, tiny):
+        sched = DriveSchedule.adiabatic(0.1)
+        amp, calls = self.counting(sched)
+        static = full_hamiltonian(tiny, PhysParams.resonant(), 0.0, 0.0)
+        gen = LindbladGenerator(tiny, static, DecayParams(kappa=0.05), antisymmetric_drive(tiny), amp)
+        units = np.zeros((3, tiny.dim, tiny.dim), dtype=complex)
+        units[0, 0, 0] = units[1, 1, 1] = units[2, 2, 1] = 1.0
+        n_steps = 50
+        gen.evolve(units, 1.0, sample_steps=[n_steps], n_steps=n_steps)
+        assert len(calls) == 2 * n_steps + 1
+        assert len(set(calls)) == len(calls)
+
+    def test_state_loop(self, sector):
+        sched = DriveSchedule.adiabatic(0.1)
+        amp, calls = self.counting(sched)
+        h = DrivenOperator(
+            static=full_hamiltonian(sector, PhysParams.resonant(), 0.0, 0.0),
+            drive=antisymmetric_drive(sector),
+            amplitude=amp,
+        )
+        kets = np.stack([qubit_embedding(sector, q) for q in range(8)], axis=1)
+        evolve_states_final(h, kets, 1.0, dt=0.01)
+        probes = 257  # peak-amplitude scan of the dt precondition
+        assert len(calls) == probes + 2 * 100 + 1
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 255, 256, 1000])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_power_apply_matches_matrix_power(n, dtype):
+    rng = np.random.default_rng(n)
+    d = 40
+    if dtype == np.float64:
+        step, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        x = rng.standard_normal((d, 3))
+    else:
+        step, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        x = rng.standard_normal((d, 3)) + 1j * rng.standard_normal((d, 3))
+    step = 0.999 * step  # spectral radius below 1: powers stay bounded
+    got = _power_apply(step, x, n)
+    assert got.dtype == dtype
+    assert np.abs(got - np.linalg.matrix_power(step, n) @ x).max() < 1e-10
 
 
 class TestPopulationSeries:
