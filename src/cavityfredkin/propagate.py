@@ -27,6 +27,20 @@ coordinates with real and imaginary parts of the input interleaved as a
 real (d, 2c) array: a real d x d product costs a quarter of a complex one,
 and the dense step map of the 2830-dimensional chain takes 64 MB instead of
 128 MB.  Chains with delta != 0 stay complex.
+
+Within a chain, each input column is propagated only on its closure: the
+smallest set of chain indices that holds the column's nonzero entries and
+that the generator maps into itself (for the delta = 0 chain, in the real
+coordinates).  Closures come from the sparsity pattern of |L0| + |Ld| by
+repeated boolean sparse products; columns that share one are grouped, and
+columns that are zero in the chain's coordinates are skipped.  A constant
+generator powers one dense step map per closure, on the submatrix L0[R][:, R];
+a time-dependent one stacks the closure blocks, one per column, into one
+block-diagonal system and steps it in a single loop.  Indices outside a
+closure stay exactly zero, so the stepped path only drops terms L_ij * 0.0.
+On the 68-state sector the 36 register matrix units of channel
+reconstruction reach at most 1390 of the 2830 delta = 0 indices, and the
+resonant step loop does about 29 k multiply-adds per stage instead of 751 k.
 """
 
 from __future__ import annotations
@@ -50,7 +64,7 @@ DEFAULT_SAMPLES = 500
 #: abort threshold on norm / trace drift
 DRIFT_ABORT = 1e-4
 
-#: chains larger than this fall back to step-by-step integration even for
+#: closures larger than this fall back to step-by-step integration even for
 #: constant generators (the dense one-step matrix would not fit comfortably)
 _POWER_DIM_LIMIT = 4096
 
@@ -452,6 +466,35 @@ def _real_form(block: sp.spmatrix, basis: sp.csr_matrix) -> sp.csr_matrix:
     return real
 
 
+def _closure_groups(l0: sp.spmatrix, ld: Optional[sp.spmatrix], x: np.ndarray) -> list:
+    """Columns of ``x`` grouped by closure, as (rows, cols) index pairs.
+
+    The closure of a column is the smallest set of indices that holds the
+    column's nonzero entries and that ``l0`` and ``ld`` map into itself.  It
+    is reached for all columns at once by boolean sparse products with the
+    pattern of |l0| + |ld| (absolute values, so that no entry cancels),
+    repeated until nothing is added.  All-zero columns belong to no group.
+    """
+    pattern = abs(l0) if ld is None else abs(l0) + abs(ld)
+    pattern.eliminate_zeros()
+    pattern = pattern.astype(bool)
+    reach = sp.csr_matrix(x != 0)
+    while True:
+        grown = reach + pattern @ reach
+        if grown.nnz == reach.nnz:
+            break
+        reach = grown
+    masks = reach.T.toarray()  # (columns, indices)
+    _, first, group = np.unique(
+        np.packbits(masks, axis=1), axis=0, return_index=True, return_inverse=True)
+    groups = []
+    for g, col in enumerate(first):
+        rows = np.flatnonzero(masks[col])
+        if rows.size:
+            groups.append((rows, np.flatnonzero(group.ravel() == g)))
+    return groups
+
+
 class LindbladGenerator:
     """Vectorized master-equation generator, sliced into sector chains.
 
@@ -525,7 +568,8 @@ class LindbladGenerator:
 
         ``sample_steps`` indexes the requested RK4 steps (0 = initial state);
         when None only the final state is returned, and a time-independent
-        generator is applied by repeated squaring of the one-step map.
+        generator is applied by repeated squaring of the one-step map.  Each
+        input column is propagated on its closure only (module docstring).
         """
         dim = self.space.dim
         rhos = np.asarray(rhos, dtype=complex)
@@ -558,10 +602,7 @@ class LindbladGenerator:
             if basis is not None:
                 # (d, c) complex -> (d, 2c) real, parts interleaved
                 x = np.ascontiguousarray(basis @ x).view(np.float64)
-            if self.is_constant and len(idx) <= _POWER_DIM_LIMIT:
-                sampled = self._propagate_chain_powered(chain, x, h, steps)
-            else:
-                sampled = self._propagate_chain_loop(chain, x, h, n_steps, steps, amps)
+            sampled = self._propagate_closures(chain, x, h, n_steps, steps, amps)
             if basis is not None:
                 back = basis.conj().T.tocsr()
                 sampled = [back @ np.ascontiguousarray(xs).view(complex) for xs in sampled]
@@ -572,6 +613,41 @@ class LindbladGenerator:
         if squeeze:
             result = [r[0] for r in result]
         return result
+
+    def _propagate_closures(self, chain, x, h, n_steps, steps, amps):
+        """Propagate the columns of the chain input ``x``, each on its closure.
+
+        Columns that share a closure R are powered together with the dense
+        step map of ``l0[R][:, R]`` when the generator is constant and R is
+        small enough; the others are stacked into one block-diagonal system,
+        one block per column, and stepped in a single loop.  Entries outside
+        a column's closure stay exactly zero.
+        """
+        l0, ld = chain["l0"], chain["ld"]
+        sampled = [np.zeros_like(x) for _ in steps]
+        stepped = []  # (rows, cols) of the groups left to the step loop
+        for rows, cols in _closure_groups(l0, ld, x):
+            if self.is_constant and len(rows) <= _POWER_DIM_LIMIT:
+                where = np.ix_(rows, cols)
+                block = {"l0": l0[rows][:, rows]}
+                xs = self._propagate_chain_powered(block, np.ascontiguousarray(x[where]), h, steps)
+                for buf, xb in zip(sampled, xs):
+                    buf[where] = xb
+            else:
+                stepped.append((rows, cols))
+        if stepped:
+            # one block per column, in the order of the stacked entries (r, c)
+            r = np.concatenate([np.tile(rows, len(cols)) for rows, cols in stepped])
+            c = np.concatenate([np.repeat(cols, len(rows)) for rows, cols in stepped])
+            system = {
+                key: None if m is None else sp.block_diag(
+                    [m[rows][:, rows] for rows, cols in stepped for _ in cols], format="csr")
+                for key, m in (("l0", l0), ("ld", ld))
+            }
+            ys = self._propagate_chain_loop(system, x[r, c][:, None], h, n_steps, steps, amps)
+            for buf, y in zip(sampled, ys):
+                buf[r, c] = y[:, 0]
+        return sampled
 
     def _propagate_chain_powered(self, chain, x, h, steps):
         step = _rk4_taylor_step((chain["l0"] * h).tocsr())

@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg as la
 import scipy.sparse as sp
 
+import cavityfredkin.propagate as propagate
 from cavityfredkin.hilbert import (
     SparseOperator,
     build_space,
@@ -15,7 +16,10 @@ from cavityfredkin.propagate import (
     DrivenOperator,
     IntegrationError,
     LindbladGenerator,
+    _amplitude_samples,
+    _closure_groups,
     _power_apply,
+    _rk4_taylor_step,
     evolve_density,
     evolve_density_final,
     evolve_state,
@@ -68,6 +72,19 @@ def vectorized_generator(space, h, decay):
             sp.kron(cm, cm.conj()) - 0.5 * (sp.kron(cdc, ident) + sp.kron(ident, cdc.T))
         )
     return lsup.tocsr()
+
+
+def matrix_units(space):
+    """The 36 oriented register matrix units that channel reconstruction
+    evolves, as a (36, dim, dim) stack."""
+    from cavityfredkin.channel import _oriented_pairs, _register_indices
+
+    reg = _register_indices(space)
+    pairs = _oriented_pairs()
+    units = np.zeros((len(pairs), space.dim, space.dim), dtype=complex)
+    for k, (m, n) in enumerate(pairs):
+        units[k, reg[m], reg[n]] = 1.0
+    return units
 
 
 def sparse_max(m):
@@ -385,17 +402,14 @@ class TestRealChainForm:
     def test_dispersive_final_states_match_complex_step_map(self, sector):
         """Real-coordinate powering against the complex RK4 step map of the
         whole vectorized generator, applied n times."""
-        from cavityfredkin.channel import _oriented_pairs, _register_indices
+        from cavityfredkin.channel import _oriented_pairs
 
         h = full_hamiltonian(sector, PhysParams.dispersive(), 0.1, -0.1)
         decay = DecayParams(kappa=0.01, gamma=0.01)
-        reg = _register_indices(sector)
+        units = matrix_units(sector)
         pairs = _oriented_pairs()
-        units = np.zeros((len(pairs), sector.dim, sector.dim), dtype=complex)
-        for k, (m, n) in enumerate(pairs):
-            units[k, reg[m], reg[n]] = 1.0
-        # 256 steps with 16 delta = 0 inputs (32 real columns): one squaring,
-        # then 128 direct products
+        # 256 steps: each closure's step map is squared until n c <= 2 d
+        # for its own dimension d and column count c
         n_steps, dt = 256, 0.01
         got = evolve_density_final(h, decay, units, n_steps * dt, dt=dt)
 
@@ -408,6 +422,182 @@ class TestRealChainForm:
             x = y
         expected = x.T.reshape(units.shape)
         assert np.abs(got - expected).max() < 1e-10
+
+
+DECAYS = {
+    "kappa": DecayParams(kappa=0.02),
+    "gamma": DecayParams(gamma=0.02),
+    "both": DecayParams(kappa=0.01, gamma=0.02),
+}
+
+
+def lossy_generator(space, path, decay):
+    """Stepped path: resonant adiabatic drive; powered path: constant
+    dispersive Hamiltonian."""
+    if path == "stepped":
+        sched = DriveSchedule.adiabatic(0.5)
+        static = full_hamiltonian(space, PhysParams.resonant(), 0.0, 0.0)
+        gen = LindbladGenerator(space, static, decay, antisymmetric_drive(space), sched.amplitude)
+        return gen, sched.total_time, 400
+    h = full_hamiltonian(space, PhysParams.dispersive(), 0.1, -0.1)
+    return LindbladGenerator(space, h, decay), 1.6, 32
+
+
+def chain_inputs(chain, units):
+    """The chain's block of the vectorized stack, in the coordinates the
+    chain is propagated in."""
+    x = units.reshape(len(units), -1).T[chain["idx"]]
+    if chain["basis"] is not None:
+        x = np.ascontiguousarray(chain["basis"] @ x).view(np.float64)
+    return x
+
+
+def full_chain_evolve(gen, units, t_final, n_steps, steps):
+    """LindbladGenerator.evolve without pruning: every chain propagated
+    whole, all columns included, by the generator's own step loop or by
+    powering the chain's full step map."""
+    dim, n = gen.space.dim, len(units)
+    h = t_final / n_steps
+    amps = None if gen.is_constant else _amplitude_samples(gen.amplitude, h, n_steps)
+    out = [np.zeros((dim * dim, n), dtype=complex) for _ in steps]
+    for chain in gen.chains:
+        x = chain_inputs(chain, units)
+        if gen.is_constant:
+            step = _rk4_taylor_step((chain["l0"] * h).tocsr())
+            sampled = [_power_apply(step, x, s) for s in steps]
+        else:
+            sampled = gen._propagate_chain_loop(chain, x, h, n_steps, steps, amps)
+        if chain["basis"] is not None:
+            back = chain["basis"].conj().T
+            sampled = [back @ np.ascontiguousarray(xs).view(complex) for xs in sampled]
+        for buf, xs in zip(out, sampled):
+            buf[chain["idx"]] = xs
+    return [v.T.reshape(n, dim, dim) for v in out]
+
+
+def bfs_closure(matrices, start):
+    """Indices reachable from ``start`` along the nonzero entries (j -> i for
+    m[i, j] != 0) of any of ``matrices``: a plain graph search."""
+    cols = [sp.csc_matrix(m) for m in matrices]
+    seen = set(int(i) for i in start)
+    todo = list(seen)
+    while todo:
+        j = todo.pop()
+        for m in cols:
+            lo, hi = m.indptr[j], m.indptr[j + 1]
+            for i, v in zip(m.indices[lo:hi], m.data[lo:hi]):
+                if v != 0 and int(i) not in seen:
+                    seen.add(int(i))
+                    todo.append(int(i))
+    return np.array(sorted(seen), dtype=int)
+
+
+class TestClosurePruning:
+    """Each input is propagated only on the closure of its column."""
+
+    @pytest.mark.parametrize("decay", sorted(DECAYS))
+    @pytest.mark.parametrize("path", ["stepped", "powered"])
+    def test_matches_full_chain_propagation(self, sector, path, decay):
+        gen, t_final, n_steps = lossy_generator(sector, path, DECAYS[decay])
+        units = matrix_units(sector)
+        if path == "stepped":
+            steps = [0, n_steps // 2, n_steps]
+            got = gen.evolve(units, t_final, sample_steps=steps, n_steps=n_steps)
+            expected = full_chain_evolve(gen, units, t_final, n_steps, steps)
+            # entries outside a closure are exact zeros, so the pruned loop
+            # drops only zero terms of the same sums
+            for g, e in zip(got, expected):
+                assert np.array_equal(g, e)
+        else:
+            (got,) = gen.evolve(units, t_final, n_steps=n_steps)
+            (expected,) = full_chain_evolve(gen, units, t_final, n_steps, [n_steps])
+            assert np.abs(got - expected).max() < 1e-12
+
+    def test_power_limit_applies_to_closure_size(self, sector, monkeypatch):
+        # constant generator: closures above the limit go to the step loop,
+        # the others are still powered
+        gen, t_final, n_steps = lossy_generator(sector, "powered", DECAYS["both"])
+        units = matrix_units(sector)
+        limit = 200
+        monkeypatch.setattr(propagate, "_POWER_DIM_LIMIT", limit)
+        sizes = {"powered": [], "stepped": []}
+        powered = LindbladGenerator._propagate_chain_powered
+        loop = LindbladGenerator._propagate_chain_loop
+
+        def record_powered(self, block_chain, block, h, steps):
+            sizes["powered"].append(block_chain["l0"].shape[0])
+            return powered(self, block_chain, block, h, steps)
+
+        def record_loop(self, system, y, h, n, steps, amps):
+            sizes["stepped"].append(system["l0"].shape[0])
+            return loop(self, system, y, h, n, steps, amps)
+
+        monkeypatch.setattr(LindbladGenerator, "_propagate_chain_powered", record_powered)
+        monkeypatch.setattr(LindbladGenerator, "_propagate_chain_loop", record_loop)
+        (got,) = gen.evolve(units, t_final, n_steps=n_steps)
+        closures = [len(rows) for chain in gen.chains
+                    for rows, _ in _closure_groups(chain["l0"], None, chain_inputs(chain, units))]
+        assert sorted(sizes["powered"]) == sorted(d for d in closures if d <= limit)
+        assert len(sizes["stepped"]) == 2  # the delta = 0 and delta = 1 chains
+        monkeypatch.undo()
+        (expected,) = full_chain_evolve(gen, units, t_final, n_steps, [n_steps])
+        assert np.abs(got - expected).max() < 1e-12
+
+    @pytest.mark.parametrize("path", ["stepped", "powered"])
+    def test_closures_are_invariant_and_minimal(self, sector, path):
+        gen, _, _ = lossy_generator(sector, path, DECAYS["both"])
+        units = matrix_units(sector)
+        for chain in gen.chains:
+            l0, ld = chain["l0"], chain["ld"]
+            mats = [l0] if ld is None else [l0, ld]
+            x = chain_inputs(chain, units)
+            grouped = []
+            for rows, cols in _closure_groups(l0, ld, x):
+                outside = np.setdiff1d(np.arange(len(chain["idx"])), rows)
+                for m in mats:
+                    assert sparse_max(m[outside][:, rows]) == 0.0
+                for c in cols:
+                    assert np.array_equal(rows, bfs_closure(mats, np.flatnonzero(x[:, c])))
+                grouped.extend(cols)
+            assert sorted(grouped) == np.flatnonzero(np.any(x, axis=0)).tolist()
+
+    def test_dark_unit_has_closure_of_size_one(self, sector):
+        from cavityfredkin.channel import _register_indices
+
+        gen, _, _ = lossy_generator(sector, "stepped", DECAYS["both"])
+        dark = np.zeros((1, sector.dim, sector.dim), dtype=complex)
+        q0 = _register_indices(sector)[0]
+        assert sector.basis[q0] == sector.basis[sector.state_index("000", "000")]
+        dark[0, q0, q0] = 1.0
+        (chain,) = [c for c in gen.chains if c["delta"] == 0]
+        x = chain_inputs(chain, dark)
+        # real part only: the imaginary column of a diagonal unit is zero
+        (group,) = _closure_groups(chain["l0"], chain["ld"], x)
+        rows, cols = group
+        assert len(rows) == 1 and cols.tolist() == [0]
+
+    def test_zero_real_columns_are_not_propagated(self, sector, monkeypatch):
+        gen, t_final, n_steps = lossy_generator(sector, "powered", DECAYS["both"])
+        units = matrix_units(sector)
+        (chain,) = [c for c in gen.chains if c["delta"] == 0]
+        in_chain = np.flatnonzero(np.any(units.reshape(len(units), -1)[:, chain["idx"]], axis=1))
+        x = chain_inputs(chain, units[in_chain])
+        # 16 delta = 0 units: 32 real columns, of which the 8 imaginary
+        # columns of the diagonal units are zero
+        assert len(in_chain) == 16 and x.shape[1] == 32
+        assert np.count_nonzero(np.any(x, axis=0)) == 24
+        widths = []
+        powered = LindbladGenerator._propagate_chain_powered
+
+        def counting(self, block_chain, block, h, steps):
+            assert np.all(np.any(block, axis=0))
+            if block.dtype == np.float64:
+                widths.append(block.shape[1])
+            return powered(self, block_chain, block, h, steps)
+
+        monkeypatch.setattr(LindbladGenerator, "_propagate_chain_powered", counting)
+        gen.evolve(units, t_final, n_steps=n_steps)
+        assert sum(widths) == 24
 
 
 class TestAmplitudeEvaluations:
