@@ -218,6 +218,11 @@ def _fmt(x) -> str:
     return str(x)
 
 
+#: one population row, time then the 8 register populations; "%.12g" formats
+#: a float exactly as _fmt does
+_ROW_FORMAT = ",".join(["%.12g"] * 9) + "\n"
+
+
 def _provenance(cfg: ExperimentConfig) -> list:
     lines = [f"# cavityfredkin {__version__}"]
     for f in fields(cfg):
@@ -309,9 +314,8 @@ def run_populations(cfg: ExperimentConfig) -> dict:
             for line in _provenance(cfg):
                 fh.write(line + "\n")
             fh.write("t_in_invg," + ",".join(f"p_q{k}" for k in range(8)) + "\n")
-            series = [pops[f"|{a}>|000>"] for a in qubit_atoms]
-            for i, t in enumerate(traj.times):
-                fh.write(_fmt(float(t)) + "," + ",".join(_fmt(float(s[i])) for s in series) + "\n")
+            table = np.column_stack([traj.times] + [pops[f"|{a}>|000>"] for a in qubit_atoms])
+            fh.writelines(_ROW_FORMAT % tuple(row) for row in table.tolist())
         files.append(path)
     return {"task": "populations", "files": files, "gate_time": schedule.total_time}
 

@@ -1,10 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 
 from cavityfredkin.cli import (
+    _ROW_FORMAT,
     ConfigError,
     ExperimentConfig,
+    _fmt,
     main,
     run_experiment,
     sweep,
@@ -130,6 +133,16 @@ class TestPopulationsTask:
             l for l in text.splitlines() if not l.startswith("# output")
         )
         assert strip(a) == strip(b)
+
+    def test_row_format_matches_fmt(self):
+        rng = np.random.default_rng(11)
+        values = [0.0, 1.0, 1e-5, 1e-17, float("nan"), -0.0, 1.0 - 1e-13]
+        values += rng.random(200).tolist() + (rng.standard_normal(200) * 1e3).tolist()
+        values += (10.0 ** rng.uniform(-20, 5, 200)).tolist()
+        values += [values[0]] * (-len(values) % 9)
+        for k in range(0, len(values), 9):
+            row = values[k:k + 9]
+            assert _ROW_FORMAT % tuple(row) == ",".join(_fmt(v) for v in row) + "\n"
 
 
 class TestFidelityTask:

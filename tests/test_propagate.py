@@ -408,8 +408,7 @@ class TestRealChainForm:
         decay = DecayParams(kappa=0.01, gamma=0.01)
         units = matrix_units(sector)
         pairs = _oriented_pairs()
-        # 256 steps: each closure's step map is squared until n c <= 2 d
-        # for its own dimension d and column count c
+        # 256 steps: binary powering squares each closure's step map 8 times
         n_steps, dt = 256, 0.01
         got = evolve_density_final(h, decay, units, n_steps * dt, dt=dt)
 
@@ -640,7 +639,82 @@ class TestAmplitudeEvaluations:
         assert len(calls) == probes + 2 * 100 + 1
 
 
-@pytest.mark.parametrize("n", [0, 1, 3, 255, 256, 1000])
+def rk4_reference(rate, y, h, n_steps, amps, steps):
+    """Classical RK4 written out step by step, with ``rate(y, a)`` the
+    derivative at drive amplitude a; returns the samples at ``steps``."""
+    samples = {0: y}
+    for k in range(1, n_steps + 1):
+        a1, a2, a3 = amps[2 * k - 2], amps[2 * k - 1], amps[2 * k]
+        k1 = rate(y, a1)
+        k2 = rate(y + (0.5 * h) * k1, a2)
+        k3 = rate(y + (0.5 * h) * k2, a2)
+        k4 = rate(y + h * k3, a3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        samples[k] = y
+    return np.stack([samples[int(s)] for s in steps])
+
+
+class TestSharedSteppers:
+    """Kets and density chains share one powering helper for constant
+    drives and one stacked RK4 loop for driven ones."""
+
+    def test_sampled_constant_drive_powers_once_per_gap(self, sector, monkeypatch):
+        h = full_hamiltonian(sector, PhysParams.dispersive(), 0.1, -0.1)
+        kets = np.stack([qubit_embedding(sector, q) for q in (0, 5, 6)], axis=1)
+        t_final, dt, n_samples = 3.0, 0.01, 8
+        n_steps = 300
+        steps = propagate._sample_steps(n_steps, n_samples)
+        gaps = np.diff(steps)
+        assert len(set(gaps.tolist())) > 1  # uneven sample gaps
+        gaps_powered = []
+        matrix_power = np.linalg.matrix_power
+
+        def counting(a, n):
+            gaps_powered.append(n)
+            return matrix_power(a, n)
+
+        monkeypatch.setattr(np.linalg, "matrix_power", counting)
+        trajs = evolve_states(h, kets, t_final, dt=dt, n_samples=n_samples)
+        monkeypatch.undo()
+        assert sorted(gaps_powered) == sorted(set(gaps.tolist()))
+
+        hm = h.matrix
+        expected = rk4_reference(lambda y, a: -1j * (hm @ y), kets.astype(complex),
+                                 t_final / n_steps, n_steps, np.zeros(2 * n_steps + 1), steps)
+        for j, traj in enumerate(trajs):
+            assert traj.metadata["n_steps"] == n_steps
+            assert np.abs(traj.states - expected[:, :, j]).max() <= 1e-11
+
+    def test_driven_ket_loop_matches_two_product_stages(self, sector):
+        h, t_gate = resonant_drive(sector, 0.1)
+        kets = np.stack([qubit_embedding(sector, q) for q in range(8)], axis=1)
+        trajs = evolve_states(h, kets, t_gate, n_samples=40)
+        n_steps = trajs[0].metadata["n_steps"]
+        dt = trajs[0].metadata["dt"]
+        h0, hd = h.static.matrix, h.drive.matrix
+        expected = rk4_reference(
+            lambda y, a: -1j * (h0 @ y + a * (hd @ y)), kets.astype(complex), dt, n_steps,
+            _amplitude_samples(h.amplitude, dt, n_steps),
+            propagate._sample_steps(n_steps, 40))
+        for j, traj in enumerate(trajs):
+            assert np.array_equal(traj.states, expected[:, :, j])
+
+    @pytest.mark.parametrize("delta", [0, 1])
+    def test_driven_chain_loop_matches_two_product_stages(self, sector, delta):
+        gen, t_final, n_steps = lossy_generator(sector, "stepped", DECAYS["both"])
+        (chain,) = [c for c in gen.chains if c["delta"] == delta]
+        x = chain_inputs(chain, matrix_units(sector))
+        x = np.ascontiguousarray(x[:, np.any(x, axis=0)])
+        h = t_final / n_steps
+        amps = _amplitude_samples(gen.amplitude, h, n_steps)
+        steps = [0, n_steps // 3, n_steps]
+        got = gen._propagate_chain_loop(chain, x, h, n_steps, steps, amps)
+        l0, ld = chain["l0"], chain["ld"]
+        expected = rk4_reference(lambda y, a: l0 @ y + a * (ld @ y), x, h, n_steps, amps, steps)
+        assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 16, 255, 256, 1000])
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
 def test_power_apply_matches_matrix_power(n, dtype):
     rng = np.random.default_rng(n)
@@ -655,6 +729,9 @@ def test_power_apply_matches_matrix_power(n, dtype):
     got = _power_apply(step, x, n)
     assert got.dtype == dtype
     assert np.abs(got - np.linalg.matrix_power(step, n) @ x).max() < 1e-10
+    if n & (n - 1) == 0:
+        # a power of two: plain binary powering does matrix_power's squarings
+        assert np.array_equal(got, np.linalg.matrix_power(step, n) @ x)
 
 
 class TestPopulationSeries:
