@@ -29,7 +29,7 @@ from cavityfredkin.hilbert import build_space, qubit_embedding
 from cavityfredkin.model import PhysParams
 from cavityfredkin.propagate import (
     DecayParams,
-    evolve_density,
+    evolve_densities,
     evolve_states,
     population_series,
 )
@@ -300,10 +300,10 @@ def run_populations(cfg: ExperimentConfig) -> dict:
         stem, ext = cfg.output, "csv"
     kets = np.stack([qubit_embedding(space, q) for q in range(8)], axis=1)
     if decay.dissipative:
-        # one input at a time: eight sampled density series would hold ~300 MB
-        trajs = (evolve_density(h, decay, np.outer(psi, psi.conj()),
-                                schedule.total_time, dt=cfg.dt_over_invg)
-                 for psi in kets.T)
+        # one generator, one input at a time: eight sampled density series
+        # would hold ~300 MB
+        trajs = evolve_densities(h, decay, (np.outer(psi, psi.conj()) for psi in kets.T),
+                                 schedule.total_time, dt=cfg.dt_over_invg)
     else:
         trajs = evolve_states(h, kets, schedule.total_time, dt=cfg.dt_over_invg)
     files = []

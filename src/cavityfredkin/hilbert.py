@@ -338,12 +338,13 @@ def qubit_extraction(
     Partial trace over the three cavity modes, then restriction of each atom
     to span{|0>, |1>} (rows/columns involving |e> are discarded), reindexed
     to the control-first ordering q = 4*q2 + 2*q1 + q3.  Trace-decreasing
-    whenever population sits in |e> levels.
+    whenever population sits in |e> levels.  A (..., dim, dim) stack is
+    reduced matrix by matrix to (..., 8, 8).
     """
     if isinstance(W, SparseOperator):
         W = W.toarray()
     W = np.asarray(W)
-    M = np.zeros((8, 8), dtype=complex)
+    M = np.zeros(W.shape[:-2] + (8, 8), dtype=complex)
     for qs, idx in _qubit_groups(space):
-        M[np.ix_(qs, qs)] += W[np.ix_(idx, idx)]
+        M[..., qs[:, None], qs] += W[..., idx[:, None], idx]
     return M

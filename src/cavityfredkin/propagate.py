@@ -11,7 +11,7 @@ space: the Lindblad generator conserves delta = C(row) - C(col) and never
 increases the sector index, so vec(rho) splits into independent chains, the
 largest of which (delta = 0 on the 68-state sector) has dimension 2830
 instead of 68^2 = 4624.  For a time-independent generator the RK4 step map
-is a fixed linear operator; it is built once per chain and applied by binary
+is a fixed linear operator; it is built once per closure and applied by binary
 powering, which is algebraically identical to stepping but costs O(log N)
 matrix products instead of O(N).  Powering does all log2 N squarings of a
 power-of-two step count: applying a d x d power to a block of at most 8
@@ -48,6 +48,15 @@ closure stay exactly zero, so the stepped path only drops terms L_ij * 0.0.
 On the 68-state sector the 36 register matrix units of channel
 reconstruction reach at most 1390 of the 2830 delta = 0 indices, and the
 resonant step loop does about 29 k multiply-adds per stage instead of 751 k.
+
+Kets take the same path: :func:`_propagate` is the one core, and a ket
+Hamiltonian is one block over all states with A = -i H0, B = -i Hd and no
+basis, next to the density chains of :class:`LindbladGenerator`.  On the
+68-state sector the 8 register kets fall into 6 closures of 22, 7 (two
+kets), 1, 29, 8 (two kets) and 1 states, so the resonant ket loop makes
+214 multiply-adds per stage instead of 188 nonzeros times 8 columns.  The
+step count (:func:`_step_count`) and the abort rule on non-finite output
+and on norm or trace drift (:func:`_check_drift`) each live in one helper.
 """
 
 from __future__ import annotations
@@ -181,8 +190,42 @@ def _check_dt(dt: float, hscale: float):
         )
 
 
+def _step_count(t_final: float, dt: float, power_of_two: bool = False) -> int:
+    """RK4 steps of length at most ``dt`` over [0, t_final]: ceil(T/dt), or,
+    for the final state of a constant generator (reached by binary
+    powering), the next power of two >= 2."""
+    if power_of_two:
+        return 1 << max(1, int(np.ceil(np.log2(max(2.0, t_final / dt)))))
+    return max(1, int(np.ceil(t_final / dt)))
+
+
 def _sample_steps(n_steps: int, n_samples: int) -> np.ndarray:
     return np.unique(np.round(np.linspace(0, n_steps, n_samples)).astype(int))
+
+
+def _check_drift(what: str, out: np.ndarray, conserved: np.ndarray, ref, dt: float,
+                 decay: Optional[DecayParams] = None) -> np.ndarray:
+    """The abort rule of every entry point; returns the final drift per column.
+
+    ``out`` is a sampled (samples, ..., n) output and ``conserved`` the
+    (samples, n) quantity the dynamics keeps at ``ref``: the norm of each
+    ket, or the trace of each density input (a Lindblad generator and its
+    RK4 step preserve tr X for any X).  Raises :class:`IntegrationError` on
+    non-finite output, or when |conserved - ref| exceeds
+    DRIFT_ABORT * max(1, |ref|) at any sample.
+    """
+    drift = np.abs(conserved - ref)
+    bound = DRIFT_ABORT * np.maximum(1.0, np.abs(ref))
+    finite = np.isfinite(out).reshape(-1, out.shape[-1]).all(axis=0)
+    if not finite.all():
+        col, problem = int(np.argmin(finite)), "non-finite output"
+    elif not np.all(drift <= bound):
+        col = int(np.argmax((drift / bound).max(axis=0)))
+        problem = f"{what} drift {drift.max():.2e} exceeds {DRIFT_ABORT:g}"
+    else:
+        return drift[-1]
+    rates = "" if decay is None else f", kappa = {decay.kappa:g}, gamma = {decay.gamma:g}"
+    raise IntegrationError(f"{problem} in input column {col}; reduce dt (used {dt:g}{rates})")
 
 
 def _rk4_taylor_step(a_times_dt: sp.spmatrix) -> np.ndarray:
@@ -291,27 +334,88 @@ def _amplitude_samples(amp: Callable, h: float, n_steps: int) -> list:
     return vals.tolist()
 
 
+def _propagate(blocks: Sequence[dict], x: np.ndarray, t_final: float, n_steps: int,
+               steps: Optional[Sequence[int]], amplitude: Optional[Callable]) -> np.ndarray:
+    """The one propagation core: y' = (A + a(t) B) y on independent blocks.
+
+    ``x`` is an (N, n) stack of inputs.  A block is a dict with ``idx``, its
+    rows of ``x``, and ``l0`` = A and ``ld`` = B on those rows (``ld`` None:
+    constant); a block with a ``basis`` U holds A and B in the coordinates
+    U y and maps back with ``back`` = U^dag.  The nonzero columns of each
+    block are propagated on their closures: a closure of a constant block
+    is powered (up to ``_POWER_DIM_LIMIT`` indices), the others are stacked,
+    one block per column, and stepped in one loop.  ``steps`` are the
+    sorted, distinct sample steps (None: step ``n_steps`` only); returns
+    the (len(steps),) + x.shape samples.
+    """
+    h = t_final / n_steps
+    steps = [n_steps] if steps is None else steps
+    amps = None if amplitude is None else _amplitude_samples(amplitude, h, n_steps)
+    out = np.zeros((len(steps),) + x.shape, dtype=complex)
+    for block in blocks:
+        idx, l0, ld, basis = block["idx"], block["l0"], block["ld"], block.get("basis")
+        y = x[idx]
+        cols = np.flatnonzero(np.any(y, axis=0))
+        if cols.size == 0:
+            continue
+        y = np.ascontiguousarray(y[:, cols])
+        buf, rmap, cmap = out, idx, cols  # without a basis, samples land in ``out``
+        if basis is not None:
+            # (d, c) complex -> (d, 2c) real, parts interleaved
+            y = np.ascontiguousarray(basis @ y).view(np.float64)
+            buf = np.zeros((len(steps),) + y.shape, dtype=y.dtype)
+            rmap, cmap = np.arange(y.shape[0]), np.arange(y.shape[1])
+        stepped = []  # (rows, columns) of the closures left to the step loop
+        for rows, group in _closure_groups(l0, ld, y):
+            if ld is None and len(rows) <= _POWER_DIM_LIMIT:
+                step = _rk4_taylor_step((l0[rows][:, rows] * h).tocsr())
+                where = np.ix_(rows, group)
+                sampled = _powered_samples(step, np.ascontiguousarray(y[where]), steps)
+                buf[(slice(None),) + np.ix_(rmap[rows], cmap[group])] = sampled
+            else:
+                stepped.append((rows, group))
+        if stepped:
+            # one block per column, in the order of the stacked entries (r, c)
+            r = np.concatenate([np.tile(rows, len(group)) for rows, group in stepped])
+            c = np.concatenate([np.repeat(group, len(rows)) for rows, group in stepped])
+            a, b = (None if m is None else sp.block_diag(
+                [m[rows][:, rows] for rows, group in stepped for _ in group], format="csr")
+                for m in (l0, ld))
+            stack = a if b is None else sp.vstack([a, b], format="csr")
+            buf[:, rmap[r], cmap[c]] = _rk4_loop(stack, y[r, c][:, None], h, n_steps, steps,
+                                                 None if b is None else amps)[:, :, 0]
+        if basis is not None:
+            # every sample back to vec coordinates in one product
+            z = buf.view(complex)  # (samples, d, c)
+            ns, d, k = z.shape
+            z = block["back"] @ z.transpose(1, 0, 2).reshape(d, ns * k)
+            out[:, idx[:, None], cols] = z.reshape(d, ns, k).transpose(1, 0, 2)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # state propagation
 # ---------------------------------------------------------------------------
 
-def _rk4_states(static, drive, amp, y0, t_final, dt_req, sample_steps):
-    """RK4 on i dy/dt = H(t) y for a (dim, n) stack.
+def _evolve_kets(h, kets, t_final, dt, n_samples=None):
+    """Propagate a (dim, n) ket stack as one block, A = -i H0 and B = -i Hd.
 
-    Returns the samples at the sorted, distinct ``sample_steps`` as one
-    (n_samples, dim, n) array.  A constant Hamiltonian powers the RK4 step
-    map per sample gap; a driven one is stepped with A = -i H0, B = -i Hd.
+    Returns the (samples, dim, n) output, the sample steps (None without
+    ``n_samples``: final state only), the step count and the final norm
+    drift per column.
     """
-    n_steps = max(1, int(np.ceil(t_final / dt_req)))
-    dt = t_final / n_steps
-    y = y0.astype(complex)
-    if drive is None:
-        out = _powered_samples(_rk4_taylor_step(-1j * dt * static.matrix), y, sample_steps)
-    else:
-        stack = sp.vstack([-1j * static.matrix, -1j * drive.matrix], format="csr")
-        amps = _amplitude_samples(amp, dt, n_steps)
-        out = _rk4_loop(stack, y, dt, n_steps, sample_steps, amps)
-    return out, dt, n_steps
+    static, drive, amp = _parts(h)
+    _check_dt(dt, _hamiltonian_scale(static, drive, amp, t_final))
+    block = {"idx": np.arange(static.space.dim), "l0": (-1j * static.matrix).tocsr(),
+             "ld": None if drive is None else (-1j * drive.matrix).tocsr()}
+    n_steps = _step_count(t_final, dt, n_samples is None and drive is None)
+    steps = None if n_samples is None else _sample_steps(n_steps, n_samples)
+    out = _propagate([block], np.asarray(kets, dtype=complex), t_final, n_steps, steps, amp)
+    # squared norms per (sample, column) without a temporary of the stack's size
+    parts = out.view(np.float64)  # real and imaginary parts interleaved
+    sq = np.einsum("sdk,sdk->sk", parts, parts)
+    drift = _check_drift("norm", out, np.sqrt(sq[:, 0::2] + sq[:, 1::2]), 1.0, t_final / n_steps)
+    return out, steps, n_steps, drift
 
 
 def evolve_state(
@@ -348,28 +452,14 @@ def evolve_states(
     returns it for that column alone.  Aborts with :class:`IntegrationError`
     if the norm of any column drifts by more than 1e-4 at any sample.
     """
-    static, drive, amp = _parts(h)
-    space = static.space
+    space = _parts(h)[0].space
     kets = np.asarray(kets, dtype=complex)
     if kets.ndim != 2 or kets.shape[0] != space.dim:
         raise ValueError(f"kets must have shape ({space.dim}, n)")
     if np.abs(np.linalg.norm(kets, axis=0) - 1.0).max() > 1e-8:
         raise ValueError("every ket must be normalized")
-    _check_dt(dt, _hamiltonian_scale(static, drive, amp, t_final))
-
-    n_steps = max(1, int(np.ceil(t_final / dt)))
-    steps = _sample_steps(n_steps, n_samples)
-    states, dt_eff, n_steps = _rk4_states(static, drive, amp, kets, t_final, dt, steps)
-    # squared norms per (sample, column) without a temporary of the stack's size
-    parts = states.view(np.float64)  # real and imaginary parts interleaved
-    sq = np.einsum("sdk,sdk->sk", parts, parts)
-    drift = np.abs(np.sqrt(sq[:, 0::2] + sq[:, 1::2]) - 1.0)  # (n_samples, n)
-    if not drift.max() <= DRIFT_ABORT:  # catches NaN from a blown-up run
-        worst = int(np.argmax(np.nan_to_num(drift, nan=np.inf).max(axis=0)))
-        raise IntegrationError(
-            f"norm drift {drift.max():.2e} exceeds {DRIFT_ABORT:g} "
-            f"(input column {worst}); reduce dt (used {dt_eff:g})"
-        )
+    states, steps, n_steps, drift = _evolve_kets(h, kets, t_final, dt, n_samples)
+    dt_eff = t_final / n_steps
     return [
         Trajectory(
             times=steps * dt_eff,
@@ -378,7 +468,7 @@ def evolve_states(
                 "space": space,
                 "dt": dt_eff,
                 "n_steps": n_steps,
-                "final_norm_drift": float(drift[-1, j]),
+                "final_norm_drift": float(drift[j]),
             },
         )
         for j in range(kets.shape[1])
@@ -396,29 +486,7 @@ def evolve_states_final(
     For a time-independent Hamiltonian the fixed linear RK4 step is applied
     by repeated squaring with the step count rounded up to a power of two.
     """
-    static, drive, amp = _parts(h)
-    kets = np.asarray(kets, dtype=complex)
-    _check_dt(dt, _hamiltonian_scale(static, drive, amp, t_final))
-    if drive is None:
-        n_steps = 1 << max(1, int(np.ceil(np.log2(max(2.0, t_final / dt)))))
-        step = _rk4_taylor_step((-1j * t_final / n_steps) * static.matrix)
-        final = _power_apply(step, kets, n_steps)
-    else:
-        final = _rk4_final(static, drive, amp, kets, t_final, dt)
-    drift = np.abs(np.linalg.norm(final, axis=0) - 1.0)
-    if not drift.max() <= DRIFT_ABORT:
-        raise IntegrationError(
-            f"norm drift {drift.max():.2e} exceeds {DRIFT_ABORT:g}; reduce dt"
-        )
-    return final
-
-
-def _rk4_final(static, drive, amp, y0, t_final, dt_req):
-    samples, _, _ = _rk4_states(
-        static, drive, amp, y0, t_final, dt_req,
-        [max(1, int(np.ceil(t_final / dt_req)))],
-    )
-    return samples[-1]
+    return _evolve_kets(h, kets, t_final, dt)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +628,6 @@ class LindbladGenerator:
         self.space = space
         self.decay = decay
         self.amplitude = amplitude
-        self.static = static
         self.drive = drive
         dim = space.dim
         ident = sp.identity(dim, format="csr", dtype=complex)
@@ -590,9 +657,6 @@ class LindbladGenerator:
     def is_constant(self) -> bool:
         return self.drive is None
 
-    def hamiltonian_scale(self, t_final: float) -> float:
-        return _hamiltonian_scale(self.static, self.drive, self.amplitude, t_final)
-
     # -- integration ---------------------------------------------------
     def evolve(
         self,
@@ -606,8 +670,10 @@ class LindbladGenerator:
 
         ``sample_steps`` indexes the requested RK4 steps (0 = initial state);
         when None only the final state is returned, and a time-independent
-        generator is applied by repeated squaring of the one-step map.  Each
-        input column is propagated on its closure only (module docstring).
+        generator is applied by repeated squaring of the one-step map.  The
+        chains are the blocks of :func:`_propagate`.  Non-finite output, or
+        a trace of any input drifting by more than 1e-4, aborts with
+        :class:`IntegrationError`.
         """
         dim = self.space.dim
         rhos = np.asarray(rhos, dtype=complex)
@@ -616,84 +682,54 @@ class LindbladGenerator:
             rhos = rhos[None]
         n = rhos.shape[0]
         vecd = rhos.reshape(n, dim * dim).T  # (dim^2, n)
-
         if n_steps is None:
-            n_steps = max(1, int(np.ceil(t_final / dt)))
-            if sample_steps is None and self.is_constant:
-                n_steps = 1 << max(1, int(np.ceil(np.log2(max(2.0, t_final / dt)))))
-        h = t_final / n_steps
-        final_only = sample_steps is None
-        steps = [n_steps] if final_only else sorted(set(int(s) for s in sample_steps))
-
-        amps = None
-        if not self.is_constant:
-            amps = _amplitude_samples(self.amplitude, h, n_steps)
-        out = np.zeros((len(steps), dim * dim, n), dtype=complex)
-        for chain in self.chains:
-            idx = chain["idx"]
-            x = vecd[idx]
-            cols = np.flatnonzero(np.any(x, axis=0))
-            if cols.size == 0:
-                continue
-            x = np.ascontiguousarray(x[:, cols])
-            basis = chain["basis"]
-            if basis is not None:
-                # (d, c) complex -> (d, 2c) real, parts interleaved
-                x = np.ascontiguousarray(basis @ x).view(np.float64)
-            sampled = self._propagate_closures(chain, x, h, n_steps, steps, amps)
-            if basis is not None:
-                # every sample back to vec coordinates in one product
-                z = sampled.view(complex)  # (samples, d, c)
-                ns, d, c = z.shape
-                z = chain["back"] @ z.transpose(1, 0, 2).reshape(d, ns * c)
-                sampled = z.reshape(d, ns, c).transpose(1, 0, 2)
-            out[:, idx[:, None], cols] = sampled
-
+            n_steps = _step_count(t_final, dt, sample_steps is None and self.is_constant)
+        steps = None if sample_steps is None else sorted(set(int(s) for s in sample_steps))
+        out = _propagate(self.chains, vecd, t_final, n_steps, steps,
+                         None if self.is_constant else self.amplitude)
+        # the diagonal of rho sits at every (dim + 1)-th vec index
+        _check_drift("trace", out, out[:, :: dim + 1].sum(axis=1), vecd[:: dim + 1].sum(axis=0),
+                     t_final / n_steps, self.decay)
         result = [v.T.reshape(n, dim, dim) for v in out]
-        if squeeze:
-            result = [r[0] for r in result]
-        return result
+        return [r[0] for r in result] if squeeze else result
 
-    def _propagate_closures(self, chain, x, h, n_steps, steps, amps):
-        """Propagate the columns of the chain input ``x``, each on its closure.
 
-        Columns that share a closure R are powered together with the dense
-        step map of ``l0[R][:, R]`` when the generator is constant and R is
-        small enough; the others are stacked into one block-diagonal system,
-        one block per column, and stepped in a single loop.  Entries outside
-        a column's closure stay exactly zero.
-        """
-        l0, ld = chain["l0"], chain["ld"]
-        sampled = np.zeros((len(steps),) + x.shape, dtype=x.dtype)
-        stepped = []  # (rows, cols) of the groups left to the step loop
-        for rows, cols in _closure_groups(l0, ld, x):
-            if self.is_constant and len(rows) <= _POWER_DIM_LIMIT:
-                where = np.ix_(rows, cols)
-                block = {"l0": l0[rows][:, rows]}
-                sampled[(slice(None),) + where] = self._propagate_chain_powered(
-                    block, np.ascontiguousarray(x[where]), h, steps)
-            else:
-                stepped.append((rows, cols))
-        if stepped:
-            # one block per column, in the order of the stacked entries (r, c)
-            r = np.concatenate([np.tile(rows, len(cols)) for rows, cols in stepped])
-            c = np.concatenate([np.repeat(cols, len(rows)) for rows, cols in stepped])
-            system = {
-                key: None if m is None else sp.block_diag(
-                    [m[rows][:, rows] for rows, cols in stepped for _ in cols], format="csr")
-                for key, m in (("l0", l0), ("ld", ld))
-            }
-            ys = self._propagate_chain_loop(system, x[r, c][:, None], h, n_steps, steps, amps)
-            sampled[:, r, c] = ys[:, :, 0]
-        return sampled
+def evolve_densities(
+    h: Union[SparseOperator, DrivenOperator],
+    decay: DecayParams,
+    rhos,
+    t_final: float,
+    dt: float = DEFAULT_DT,
+    n_samples: int = DEFAULT_SAMPLES,
+):
+    """Integrate the Lindblad master equation for each density operator of
+    ``rhos``, yielding one :class:`Trajectory` per input.
 
-    def _propagate_chain_powered(self, chain, x, h, steps):
-        return _powered_samples(_rk4_taylor_step((chain["l0"] * h).tocsr()), x, steps)
-
-    def _propagate_chain_loop(self, chain, x, h, n_steps, steps, amps):
-        l0, ld = chain["l0"], chain["ld"]
-        stack = l0 if ld is None else sp.vstack([l0, ld], format="csr")
-        return _rk4_loop(stack, x, h, n_steps, steps, None if ld is None else amps)
+    One generator serves every input.  The trajectories are produced one at
+    a time, when asked for, so only one sampled series is held in memory.
+    Each run aborts as :meth:`LindbladGenerator.evolve` does.
+    """
+    static, drive, amp = _parts(h)
+    space = static.space
+    _check_dt(dt, _hamiltonian_scale(static, drive, amp, t_final))
+    gen = LindbladGenerator(space, static, decay, drive, amp)
+    n_steps = _step_count(t_final, dt)
+    steps = _sample_steps(n_steps, n_samples)
+    for rho0 in rhos:
+        rho0 = np.asarray(rho0, dtype=complex)
+        if rho0.shape != (space.dim, space.dim):
+            raise ValueError(f"rho0 must have shape ({space.dim}, {space.dim})")
+        states = np.stack(gen.evolve(rho0, t_final, dt, sample_steps=steps, n_steps=n_steps))
+        yield Trajectory(
+            times=steps * (t_final / n_steps),
+            states=states,
+            metadata={
+                "space": space,
+                "dt": t_final / n_steps,
+                "n_steps": n_steps,
+                "final_trace_drift": float(abs(np.trace(states[-1]) - np.trace(rho0))),
+            },
+        )
 
 
 def evolve_density(
@@ -704,46 +740,9 @@ def evolve_density(
     dt: float = DEFAULT_DT,
     n_samples: int = DEFAULT_SAMPLES,
 ) -> Trajectory:
-    """Integrate the Lindblad master equation for one density operator.
-
-    Hermitian inputs are monitored: trace drift beyond 1e-4 of the initial
-    trace aborts.  Non-Hermitian inputs (matrix units for channel
-    reconstruction) are propagated unchecked; the generator is linear.
-    """
-    static, drive, amp = _parts(h)
-    space = static.space
-    rho0 = np.asarray(rho0, dtype=complex)
-    if rho0.shape != (space.dim, space.dim):
-        raise ValueError(f"rho0 must have shape ({space.dim}, {space.dim})")
-    gen = LindbladGenerator(space, static, decay, drive, amp)
-    _check_dt(dt, gen.hamiltonian_scale(t_final))
-
-    n_steps = max(1, int(np.ceil(t_final / dt)))
-    steps = _sample_steps(n_steps, n_samples)
-    sampled = gen.evolve(rho0, t_final, dt, sample_steps=steps, n_steps=n_steps)
-    states = np.stack(sampled)
-
-    hermitian = np.abs(rho0 - rho0.conj().T).max() <= 1e-10 * max(1.0, np.abs(rho0).max())
-    tr0 = float(np.trace(rho0).real)
-    if hermitian:
-        drift = np.abs(np.trace(states, axis1=1, axis2=2) - tr0)
-        if not drift.max() <= DRIFT_ABORT * max(1.0, abs(tr0)):
-            raise IntegrationError(
-                f"trace drift {drift.max():.2e} exceeds {DRIFT_ABORT:g}; reduce dt"
-            )
-        final_drift = float(drift[-1])
-    else:
-        final_drift = float("nan")
-    return Trajectory(
-        times=steps * (t_final / n_steps),
-        states=states,
-        metadata={
-            "space": space,
-            "dt": t_final / n_steps,
-            "n_steps": n_steps,
-            "final_trace_drift": final_drift,
-        },
-    )
+    """Integrate the Lindblad master equation for one density operator, as
+    :func:`evolve_densities` does for each of several."""
+    return next(evolve_densities(h, decay, [rho0], t_final, dt, n_samples))
 
 
 def evolve_density_final(
@@ -757,11 +756,11 @@ def evolve_density_final(
 
     Batch fast path used by channel reconstruction: the stacked operators
     evolve independently (the generator is linear), and a time-independent
-    generator is applied by repeated squaring per sector chain.
+    generator is applied by repeated squaring per closure.
     """
     static, drive, amp = _parts(h)
+    _check_dt(dt, _hamiltonian_scale(static, drive, amp, t_final))
     gen = LindbladGenerator(static.space, static, decay, drive, amp)
-    _check_dt(dt, gen.hamiltonian_scale(t_final))
     return gen.evolve(np.asarray(rhos, dtype=complex), t_final, dt)[0]
 
 

@@ -15,6 +15,7 @@ from cavityfredkin.hilbert import build_space, qubit_basis_index
 from cavityfredkin.model import PhysParams
 from cavityfredkin.propagate import (
     DecayParams,
+    IntegrationError,
     evolve_density_final,
     evolve_states_final,
 )
@@ -186,6 +187,32 @@ class TestReconstructChannel:
             SparseOperator.zero(sector), DecayParams(kappa=0.5, gamma=0.8), units, 50.0
         )
         assert np.abs(out - units).max() < 1e-12
+
+    def test_blown_up_run_raises(self, sector):
+        # kappa dt = 10 lies far outside RK4's stability region; the run
+        # used to return fidelity nan with trace_drift 0.0
+        with pytest.raises(IntegrationError, match="non-finite output"):
+            reconstruct_channel(
+                "resonant", PhysParams.resonant(), DriveSchedule.adiabatic(0.1),
+                DecayParams(kappa=1000.0), space=sector,
+            )
+
+    def test_read_out_propagates_nan(self, sector, monkeypatch):
+        import cavityfredkin.channel as channel
+
+        def blown_up(h, decay, units, t, dt):
+            # the dark unit |000><000| keeps trace 1, the others turn NaN
+            out = units.copy()
+            out[1:] = np.nan
+            return out
+
+        monkeypatch.setattr(channel, "evolve_density_final", blown_up)
+        ch = reconstruct_channel(
+            "resonant", PhysParams.resonant(), DriveSchedule.adiabatic(0.1),
+            DecayParams(kappa=0.01), space=sector,
+        )
+        assert np.isnan(ch.metadata["trace_drift"])
+        assert np.isnan(ch.metadata["leakage"])
 
     def test_validation(self, sector):
         with pytest.raises(ValueError, match="scheme"):

@@ -119,6 +119,26 @@ class TestPopulationsTask:
         assert float(rows[-1]["p_q5"]) >= 0.99
         assert float(rows[0]["p_q6"]) == 1.0
 
+    def test_dissipative_run_builds_one_generator(self, tmp_path, monkeypatch):
+        import cavityfredkin.propagate as propagate
+
+        builds = []
+        init = propagate.LindbladGenerator.__init__
+
+        def counting(self, *args, **kwargs):
+            builds.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(propagate.LindbladGenerator, "__init__", counting)
+        cfg = ExperimentConfig(
+            task="populations", scheme="dispersive", Omega_over_g="0.1",
+            kappa_over_g=0.005, gamma_over_g=0.005, fock_cap=1,
+            output=str(tmp_path / "lossy.csv"),
+        )
+        summary = run_experiment(cfg)
+        assert len(summary["files"]) == 8
+        assert len(builds) == 1  # one per input before evolve_densities
+
     def test_byte_reproducible(self, populations_run, tmp_path):
         summary, _ = populations_run
         cfg = ExperimentConfig(

@@ -208,6 +208,7 @@ class TestQubitExtraction:
 
     def test_trace_never_increases(self, sector):
         rng = np.random.default_rng(11)
+        rhos, looped = [], []
         for _ in range(20):
             a = rng.standard_normal((sector.dim, sector.dim)) + 1j * rng.standard_normal(
                 (sector.dim, sector.dim)
@@ -215,6 +216,12 @@ class TestQubitExtraction:
             rho = a @ a.conj().T
             extracted = qubit_extraction(sector, rho)
             assert np.trace(extracted).real <= np.trace(rho).real + 1e-10
+            rhos.append(rho)
+            looped.append(extracted)
+        # a (..., dim, dim) stack is reduced matrix by matrix, with the same sums
+        stacked = qubit_extraction(sector, np.reshape(rhos, (4, 5, sector.dim, sector.dim)))
+        assert stacked.shape == (4, 5, 8, 8)
+        assert np.array_equal(stacked, np.reshape(looped, (4, 5, 8, 8)))
 
 
 class TestSectorClosure:

@@ -19,6 +19,7 @@ from cavityfredkin.propagate import (
     _amplitude_samples,
     _closure_groups,
     _power_apply,
+    _rk4_loop,
     _rk4_taylor_step,
     evolve_density,
     evolve_density_final,
@@ -28,7 +29,7 @@ from cavityfredkin.propagate import (
     jump_operators,
     population_series,
 )
-from cavityfredkin.pulses import DriveSchedule, resonant_gate_time
+from cavityfredkin.pulses import DriveSchedule, dispersive_gate_time, resonant_gate_time
 
 
 @pytest.fixture(scope="module")
@@ -349,6 +350,31 @@ class TestEvolveDensity:
         with pytest.raises(IntegrationError, match="trace drift"):
             evolve_density(h, decay, rho0, 10.0, dt=0.05)
 
+    def test_trace_drift_abort_on_non_hermitian_input(self, tiny):
+        # the trace of every input is checked, not only of Hermitian ones: a
+        # Lindblad generator and its RK4 step preserve tr X for any X.  256
+        # steps of 0.05 at kappa = 60 leave RK4's stability region, in the
+        # sampled and in the powered final-only path alike
+        h = SparseOperator.zero(tiny)
+        decay = DecayParams(kappa=60.0)
+        i, j = tiny.state_index("000", "001"), tiny.state_index("000", "000")
+        x = np.zeros((tiny.dim, tiny.dim), dtype=complex)
+        x[i, i] = x[j, i] = 1.0
+        with pytest.raises(IntegrationError, match="trace drift"):
+            evolve_density(h, decay, x, 12.8, dt=0.05)
+        with pytest.raises(IntegrationError, match="trace drift"):
+            evolve_density_final(h, decay, x[None], 12.8, dt=0.05)
+
+    def test_non_finite_output_raises(self, tiny):
+        # kappa dt = 10: the stepped run overflows to inf and NaN, which
+        # must raise instead of passing on as a result
+        h, t_gate = resonant_drive(tiny, 0.1)
+        i = tiny.state_index("000", "001")
+        rho0 = np.outer(tiny.basis_vector(i), tiny.basis_vector(i))
+        message = r"non-finite output in input column 0; .*used 0\.0.*kappa = 1000"
+        with pytest.raises(IntegrationError, match=message):
+            evolve_density_final(h, DecayParams(kappa=1000.0), rho0[None], t_gate)
+
 
 class TestRealChainForm:
     """The delta = 0 chain runs in real Hermitian coordinates."""
@@ -465,7 +491,8 @@ def full_chain_evolve(gen, units, t_final, n_steps, steps):
             step = _rk4_taylor_step((chain["l0"] * h).tocsr())
             sampled = [_power_apply(step, x, s) for s in steps]
         else:
-            sampled = gen._propagate_chain_loop(chain, x, h, n_steps, steps, amps)
+            stack = sp.vstack([chain["l0"], chain["ld"]], format="csr")
+            sampled = _rk4_loop(stack, x, h, n_steps, steps, amps)
         if chain["basis"] is not None:
             back = chain["basis"].conj().T
             sampled = [back @ np.ascontiguousarray(xs).view(complex) for xs in sampled]
@@ -520,19 +547,19 @@ class TestClosurePruning:
         limit = 200
         monkeypatch.setattr(propagate, "_POWER_DIM_LIMIT", limit)
         sizes = {"powered": [], "stepped": []}
-        powered = LindbladGenerator._propagate_chain_powered
-        loop = LindbladGenerator._propagate_chain_loop
+        powered = propagate._powered_samples
+        loop = propagate._rk4_loop
 
-        def record_powered(self, block_chain, block, h, steps):
-            sizes["powered"].append(block_chain["l0"].shape[0])
-            return powered(self, block_chain, block, h, steps)
+        def record_powered(step, block, steps):
+            sizes["powered"].append(step.shape[0])
+            return powered(step, block, steps)
 
-        def record_loop(self, system, y, h, n, steps, amps):
-            sizes["stepped"].append(system["l0"].shape[0])
-            return loop(self, system, y, h, n, steps, amps)
+        def record_loop(stack, y, h, n, steps, amps):
+            sizes["stepped"].append(stack.shape[0])
+            return loop(stack, y, h, n, steps, amps)
 
-        monkeypatch.setattr(LindbladGenerator, "_propagate_chain_powered", record_powered)
-        monkeypatch.setattr(LindbladGenerator, "_propagate_chain_loop", record_loop)
+        monkeypatch.setattr(propagate, "_powered_samples", record_powered)
+        monkeypatch.setattr(propagate, "_rk4_loop", record_loop)
         (got,) = gen.evolve(units, t_final, n_steps=n_steps)
         closures = [len(rows) for chain in gen.chains
                     for rows, _ in _closure_groups(chain["l0"], None, chain_inputs(chain, units))]
@@ -586,15 +613,15 @@ class TestClosurePruning:
         assert len(in_chain) == 16 and x.shape[1] == 32
         assert np.count_nonzero(np.any(x, axis=0)) == 24
         widths = []
-        powered = LindbladGenerator._propagate_chain_powered
+        powered = propagate._powered_samples
 
-        def counting(self, block_chain, block, h, steps):
+        def counting(step, block, steps):
             assert np.all(np.any(block, axis=0))
             if block.dtype == np.float64:
                 widths.append(block.shape[1])
-            return powered(self, block_chain, block, h, steps)
+            return powered(step, block, steps)
 
-        monkeypatch.setattr(LindbladGenerator, "_propagate_chain_powered", counting)
+        monkeypatch.setattr(propagate, "_powered_samples", counting)
         gen.evolve(units, t_final, n_steps=n_steps)
         assert sum(widths) == 24
 
@@ -676,7 +703,10 @@ class TestSharedSteppers:
         monkeypatch.setattr(np.linalg, "matrix_power", counting)
         trajs = evolve_states(h, kets, t_final, dt=dt, n_samples=n_samples)
         monkeypatch.undo()
-        assert sorted(gaps_powered) == sorted(set(gaps.tolist()))
+        # once per distinct gap in each closure group of the kets
+        groups = _closure_groups(h.matrix, None, kets)
+        assert len(groups) > 1
+        assert sorted(gaps_powered) == sorted(list(set(gaps.tolist())) * len(groups))
 
         hm = h.matrix
         expected = rk4_reference(lambda y, a: -1j * (hm @ y), kets.astype(complex),
@@ -708,10 +738,35 @@ class TestSharedSteppers:
         h = t_final / n_steps
         amps = _amplitude_samples(gen.amplitude, h, n_steps)
         steps = [0, n_steps // 3, n_steps]
-        got = gen._propagate_chain_loop(chain, x, h, n_steps, steps, amps)
         l0, ld = chain["l0"], chain["ld"]
+        got = _rk4_loop(sp.vstack([l0, ld], format="csr"), x, h, n_steps, steps, amps)
         expected = rk4_reference(lambda y, a: l0 @ y + a * (ld @ y), x, h, n_steps, amps, steps)
         assert np.array_equal(got, expected)
+
+
+class TestKetClosures:
+    """A ket stack is one block of the propagation core: each ket evolves
+    on its closure under -i H0 and -i Hd."""
+
+    def test_register_ket_closures(self, sector):
+        h, _ = resonant_drive(sector, 0.1)
+        kets = np.stack([qubit_embedding(sector, q) for q in range(8)], axis=1)
+        groups = _closure_groups(h.static.matrix, h.drive.matrix, kets)
+        assert [(len(rows), cols.tolist()) for rows, cols in groups] == [
+            (22, [7]), (7, [5, 6]), (1, [4]), (29, [3]), (8, [1, 2]), (1, [0])]
+
+    def test_constant_final_kets_match_full_step_map(self, sector):
+        om = 0.1
+        h = full_hamiltonian(sector, PhysParams.dispersive(), om, -om)
+        kets = np.stack([qubit_embedding(sector, q) for q in range(8)], axis=1)
+        t_final, dt = dispersive_gate_time(om), 0.01
+        n_steps = 2
+        while n_steps < t_final / dt:
+            n_steps *= 2
+        step = _rk4_taylor_step((-1j * t_final / n_steps) * h.matrix)
+        expected = _power_apply(step, kets.astype(complex), n_steps)  # 68 x 68 map
+        got = evolve_states_final(h, kets, t_final, dt=dt)
+        assert np.abs(got - expected).max() < 1e-12
 
 
 @pytest.mark.parametrize("n", [0, 1, 3, 16, 255, 256, 1000])
