@@ -287,6 +287,20 @@ def atom_transition(
     return SparseOperator.from_entries(space, rows, cols, vals, dropped=dropped)
 
 
+def mirror_map(space: HilbertSpace) -> tuple:
+    """The array's mirror symmetry U on the basis: U e_i = sign[i] e_perm[i].
+
+    U swaps atom 1 <-> atom 3 and cavity 1 <-> cavity 3 and multiplies by
+    (-1)^(N_photon + N_e).  It commutes with the static Hamiltonian and with
+    the drive when Omega_3 = -Omega_1, and maps every jump operator to
+    +/- its mirror image.  Returns the int array ``perm`` and float ``sign``.
+    """
+    perm = np.array([space.index_of[(a3, a2, a1, n3, n2, n1)]
+                     for a1, a2, a3, n1, n2, n3 in space.basis], dtype=int)
+    odd = [(sum(lab[3:]) + lab[:3].count(LEVEL_E)) % 2 for lab in space.basis]
+    return perm, 1.0 - 2.0 * np.array(odd, dtype=float)
+
+
 def excitation_counter(space: HilbertSpace) -> SparseOperator:
     """Diagonal operator with eigenvalue C(label) on each basis state."""
     return SparseOperator(

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from cavityfredkin.hilbert import (
     SparseOperator,
@@ -10,11 +11,13 @@ from cavityfredkin.hilbert import (
     cavity_lowering,
     excitation_counter,
     excitation_of,
+    mirror_map,
     qubit_basis_index,
     qubit_embedding,
     qubit_extraction,
 )
 from cavityfredkin.model import PhysParams, full_hamiltonian
+from cavityfredkin.propagate import DecayParams, jump_operators
 
 
 def brute_force_count(fock_cap, sector_cap):
@@ -234,6 +237,39 @@ class TestSectorClosure:
         h = full_hamiltonian(full, PhysParams.resonant(), 0.05, -0.05).toarray()
         inside = np.array([excitation_of(lab) <= 2 for lab in full.basis])
         assert np.abs(h[np.ix_(~inside, inside)]).max() == 0.0
+
+
+class TestMirrorMap:
+    """U = (atom 1 <-> atom 3, cavity 1 <-> cavity 3) x (-1)^(N_photon + N_e)."""
+
+    @staticmethod
+    def matrix(space):
+        perm, sign = mirror_map(space)
+        return sp.csr_matrix((sign, (perm, np.arange(space.dim))), shape=(space.dim,) * 2)
+
+    def test_labels_and_involution(self, sector):
+        perm, sign = mirror_map(sector)
+        for i, (a1, a2, a3, n1, n2, n3) in enumerate(sector.basis):
+            assert sector.basis[perm[i]] == (a3, a2, a1, n3, n2, n1)
+            assert sign[i] == (-1) ** (n1 + n2 + n3 + [a1, a2, a3].count(2))
+        assert np.array_equal(perm[perm], np.arange(sector.dim))
+        assert np.array_equal(sign[perm], sign)
+
+    @pytest.mark.parametrize("params", [PhysParams.resonant(), PhysParams.dispersive()])
+    def test_commutes_with_antisymmetric_drive_only(self, full, params):
+        u = self.matrix(full)
+        h = full_hamiltonian(full, params, 0.3, -0.3).matrix
+        assert abs(u @ h @ u.T - h).max() == 0.0
+        h = full_hamiltonian(full, params, 0.3, 0.3).matrix
+        assert abs(u @ h @ u.T - h).max() > 0.1
+
+    def test_jump_operators_map_to_signed_mirror_images(self, sector):
+        u = self.matrix(sector)
+        jumps = [c.matrix for _, c in jump_operators(sector, DecayParams(kappa=1.0, gamma=1.0))]
+        # a_1 <-> a_3, a_2, and per atom |0><e| and |1><e|, each negated
+        mirror = [2, 1, 0, 7, 8, 5, 6, 3, 4]
+        for c, m in zip(jumps, mirror):
+            assert abs(u @ c @ u.T + jumps[m]).max() == 0.0
 
 
 class TestSparseOperator:
