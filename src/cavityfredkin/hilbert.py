@@ -301,6 +301,18 @@ def mirror_map(space: HilbertSpace) -> tuple:
     return perm, 1.0 - 2.0 * np.array(odd, dtype=float)
 
 
+def chiral_parity(space: HilbertSpace) -> np.ndarray:
+    """pi = [atom 1 in e] + [atom 3 in e] + n_2 per basis state (int array).
+
+    Every drive, hopping and Jaynes-Cummings term changes pi by +/-1, so at
+    Delta = 0 every entry of the Hamiltonian joins states of opposite
+    parity; the detuning |e><e| does not.  Each jump operator shifts pi by
+    one fixed amount.  pi is invariant under :func:`mirror_map`.
+    """
+    return np.array([(a1 == LEVEL_E) + (a3 == LEVEL_E) + n2
+                     for a1, _, a3, _, n2, _ in space.basis], dtype=int)
+
+
 def excitation_counter(space: HilbertSpace) -> SparseOperator:
     """Diagonal operator with eigenvalue C(label) on each basis state."""
     return SparseOperator(

@@ -33,7 +33,7 @@ matrix, and so is its RK4 step map.  The chain is propagated in those
 coordinates with real and imaginary parts of the input interleaved as a
 real (d, 2c) array: a real d x d product costs a quarter of a complex one,
 and the dense step map of the 2830-dimensional chain takes 64 MB instead of
-128 MB.  Chains with delta != 0 stay complex.
+128 MB.
 
 Within a chain, each input column is propagated only on its closure: the
 smallest set of chain indices that holds the column's nonzero entries and
@@ -42,9 +42,10 @@ coordinates).  Closures come from the sparsity pattern of |L0| + |Ld| by
 repeated boolean sparse products; columns that share one are grouped, and
 columns that are zero in the chain's coordinates are skipped.  A constant
 generator powers one dense step map per closure, on the submatrix L0[R][:, R];
-a time-dependent one stacks the closure blocks, one per column, into one
-block-diagonal system and steps it in a single loop.  Indices outside a
-closure stay exactly zero, so the stepped path only drops terms L_ij * 0.0.
+a time-dependent one stacks the closure blocks of all chains, one per column,
+into one block-diagonal system per dtype and steps it in a single loop.
+Indices outside a closure stay exactly zero, so the stepped path only drops
+terms L_ij * 0.0.
 On the 68-state sector the 36 register matrix units of channel
 reconstruction reach at most 1390 of the 2830 delta = 0 indices, and at
 most 718 once the chain is split by the mirror symmetry (below).
@@ -69,12 +70,27 @@ Omega_3 != -Omega_1, has cross-sector entries above 1e-12 of its largest
 entry; it keeps one sector and is propagated as before.  The delta != 0
 chains are not split.
 
+At Delta = 0 every entry of H0 and Hd flips the chiral parity
+pi = [atom 1 in e] + [atom 3 in e] + n_2 (:func:`~cavityfredkin.hilbert.chiral_parity`),
+and each jump operator shifts pi by one fixed amount.  In the diagonal
+gauge rho_ij -> i^-(pi_i - pi_j) rho_ij (:func:`_chiral_gauge`) every entry
+of L0 and Ld on a delta != 0 chain is then exactly real, and so is -i H
+for kets in the gauge psi_i -> i^-pi_i psi_i.  Such a block is propagated
+like the delta = 0 chain: its ``basis`` is the diagonal phase, its input
+columns become real columns, and the all-zero half of each matrix unit is
+skipped.  The resonant channel's stepped closures of all five chains thus
+form one real system of 3568 rows and 20 981 nonzeros per stage, stepped
+in one loop (three loops, two of them complex, without the gauge).  The
+detuning's imaginary diagonal keeps dispersive blocks complex and
+ungauged.
+
 Kets take the same path: :func:`_propagate` is the one core, and a ket
-Hamiltonian is one block over all states with A = -i H0, B = -i Hd and no
-basis, next to the density chains of :class:`LindbladGenerator`.  On the
-68-state sector the 8 register kets fall into 6 closures of 22, 7 (two
-kets), 1, 29, 8 (two kets) and 1 states, so the resonant ket loop makes
-214 multiply-adds per stage instead of 188 nonzeros times 8 columns.  The
+Hamiltonian is one block over all states with A = -i H0 and B = -i Hd,
+gauged when the gauge is real, next to the density chains of
+:class:`LindbladGenerator`.  On the 68-state sector the 8 register kets
+fall into 6 closures of 22, 7 (two kets), 1, 29, 8 (two kets) and 1
+states, so the resonant ket loop makes 214 multiply-adds per stage instead
+of 188 nonzeros times 8 columns.  The
 step count (:func:`_step_count`) and the abort rule on non-finite output
 and on norm or trace drift (:func:`_check_drift`) each live in one helper.
 """
@@ -92,6 +108,7 @@ from cavityfredkin.hilbert import (
     SparseOperator,
     atom_transition,
     cavity_lowering,
+    chiral_parity,
     mirror_map,
 )
 
@@ -104,6 +121,10 @@ DRIFT_ABORT = 1e-4
 #: closures larger than this fall back to step-by-step integration even for
 #: constant generators (the dense one-step matrix would not fit comfortably)
 _POWER_DIM_LIMIT = 4096
+
+#: samples mapped back from a block's basis per sparse product (bounds the
+#: temporaries of the back transform)
+_SAMPLE_CHUNK = 64
 
 #: largest imaginary part, relative to the largest entry, tolerated in the
 #: real-coordinate form of the delta = 0 chain generator
@@ -358,20 +379,26 @@ def _propagate(blocks: Sequence[dict], x: np.ndarray, t_final: float, n_steps: i
 
     ``x`` is an (N, n) stack of inputs.  A block is a dict with ``idx``, its
     rows of ``x``, and ``l0`` = A and ``ld`` = B on those rows (``ld`` None:
-    constant); a block with a ``basis`` U holds real A and B in the
-    coordinates U y, maps back with ``back`` = U^dag, and propagates the
-    parts of each column on its ``sector`` = +1 and -1 coordinates apart
-    (A and B have no entries between them).  The nonzero columns of each
-    block are propagated on their closures: a closure of a constant block
-    is powered (up to ``_POWER_DIM_LIMIT`` indices), the others are stacked,
-    one block per column, and stepped in one loop.  ``steps`` are the
-    sorted, distinct sample steps (None: step ``n_steps`` only); returns
-    the (len(steps),) + x.shape samples.
+    constant, for every block of a call); a block with a ``basis`` U holds
+    real A and B in the coordinates U y, maps back with ``back`` = U^dag,
+    and propagates the parts of each column on its ``sector`` = +1 and -1
+    coordinates apart (A and B have no entries between them).  The nonzero
+    columns of each block are propagated on their closures: a closure of a
+    constant block is powered (up to ``_POWER_DIM_LIMIT`` indices); the
+    others, of all blocks, are stacked one block per column and stepped in
+    one loop per dtype.  ``steps`` are the sorted, distinct sample steps
+    (None: step ``n_steps`` only); returns the (len(steps),) + x.shape
+    samples.
     """
     h = t_final / n_steps
     steps = [n_steps] if steps is None else steps
     amps = None if amplitude is None else _amplitude_samples(amplitude, h, n_steps)
-    out = np.zeros((len(steps),) + x.shape, dtype=complex)
+    # samples are stored rows first, (N, samples, n), and handed out as an
+    # (samples, N, n) view: a block's samples then fill whole rows
+    rows_first = np.zeros((x.shape[0], len(steps), x.shape[1]), dtype=complex)
+    out = rows_first.transpose(1, 0, 2)
+    stepped = []  # (A, B, inputs, (buf, rows, cols)) of the closures left to the step loop
+    based = []  # (block, columns) of the blocks propagated in their basis
     for block in blocks:
         idx, l0, ld, basis = block["idx"], block["l0"], block["ld"], block.get("basis")
         y = x[idx]
@@ -381,39 +408,46 @@ def _propagate(blocks: Sequence[dict], x: np.ndarray, t_final: float, n_steps: i
         y = np.ascontiguousarray(y[:, cols])
         buf, rmap, cmap = out, idx, cols  # without a basis, samples land in ``out``
         if basis is not None:
-            # (d, c) complex -> (d, 2c) real, parts interleaved
+            # (d, c) complex -> (d, 2c) real, parts interleaved; the samples
+            # land in the same places of the real view of ``out`` and are
+            # mapped back below
             y = np.ascontiguousarray(basis @ y).view(np.float64)
-            buf = np.zeros((len(steps),) + y.shape, dtype=y.dtype)
-            rmap, cmap = np.arange(y.shape[0]), np.tile(np.arange(y.shape[1]), 2)
+            buf = rows_first.view(np.float64).transpose(1, 0, 2)
             # each column's two mirror-sector parts; their closures lie in
-            # disjoint rows of the one column of ``buf`` they both fill
+            # disjoint rows of the one column they both fill
+            cmap = np.tile(np.stack([2 * cols, 2 * cols + 1], axis=1).ravel(), 2)
             plus = (block["sector"] > 0)[:, None]
             y = np.concatenate([np.where(plus, y, 0.0), np.where(plus, 0.0, y)], axis=1)
-        stepped = []  # (rows, columns) of the closures left to the step loop
+            based.append((block, cols))
         for rows, group in _closure_groups(l0, ld, y):
+            where = np.ix_(rows, group)
             if ld is None and len(rows) <= _POWER_DIM_LIMIT:
                 step = _rk4_taylor_step((l0[rows][:, rows] * h).tocsr())
-                where = np.ix_(rows, group)
                 sampled = _powered_samples(step, np.ascontiguousarray(y[where]), steps)
                 buf[(slice(None),) + np.ix_(rmap[rows], cmap[group])] = sampled
             else:
-                stepped.append((rows, group))
-        if stepped:
-            # one block per column, in the order of the stacked entries (r, c)
-            r = np.concatenate([np.tile(rows, len(group)) for rows, group in stepped])
-            c = np.concatenate([np.repeat(group, len(rows)) for rows, group in stepped])
-            a, b = (None if m is None else sp.block_diag(
-                [m[rows][:, rows] for rows, group in stepped for _ in group], format="csr")
-                for m in (l0, ld))
-            stack = a if b is None else sp.vstack([a, b], format="csr")
-            buf[:, rmap[r], cmap[c]] = _rk4_loop(stack, y[r, c][:, None], h, n_steps, steps,
-                                                 None if b is None else amps)[:, :, 0]
-        if basis is not None:
-            # every sample back to vec coordinates in one product
-            z = buf.view(complex)  # (samples, d, c)
-            ns, d, k = z.shape
-            z = block["back"] @ z.transpose(1, 0, 2).reshape(d, ns * k)
-            out[:, idx[:, None], cols] = z.reshape(d, ns, k).transpose(1, 0, 2)
+                stepped.append((l0[rows][:, rows], None if ld is None else ld[rows][:, rows],
+                                y[where], (buf, rmap[rows], cmap[group])))
+    for dtype in {s[2].dtype for s in stepped}:
+        part = [s for s in stepped if s[2].dtype == dtype]
+        # one block per column, each column's rows in closure order
+        a, b = (None if part[0][k] is None else sp.block_diag(
+            [s[k] for s in part for _ in range(s[2].shape[1])], format="csr") for k in (0, 1))
+        stack = a if b is None else sp.vstack([a, b], format="csr")
+        y = np.concatenate([s[2].T.ravel() for s in part])[:, None]
+        sampled = _rk4_loop(stack, y, h, n_steps, steps, None if b is None else amps)[:, :, 0]
+        pos = 0
+        for _, _, y0, (buf, rows, group) in part:
+            buf[:, np.tile(rows, len(group)), np.repeat(group, len(rows))] = \
+                sampled[:, pos:pos + y0.size]
+            pos += y0.size
+    for block, cols in based:
+        # back to vec coordinates, in place, one product per chunk of samples
+        rows = block["idx"][:, None]
+        for s in range(0, len(steps), _SAMPLE_CHUNK):
+            z = rows_first[rows, s:s + _SAMPLE_CHUNK, cols]  # (d, c, samples)
+            rows_first[rows, s:s + _SAMPLE_CHUNK, cols] = \
+                (block["back"] @ z.reshape(len(rows), -1)).reshape(z.shape)
     return out
 
 
@@ -430,8 +464,9 @@ def _evolve_kets(h, kets, t_final, dt, n_samples=None):
     """
     static, drive, amp = _parts(h)
     _check_dt(dt, _hamiltonian_scale(static, drive, amp, t_final))
-    block = {"idx": np.arange(static.space.dim), "l0": (-1j * static.matrix).tocsr(),
-             "ld": None if drive is None else (-1j * drive.matrix).tocsr()}
+    block = _chiral_gauge({"idx": np.arange(static.space.dim), "l0": (-1j * static.matrix).tocsr(),
+                           "ld": None if drive is None else (-1j * drive.matrix).tocsr()},
+                          chiral_parity(static.space))
     n_steps = _step_count(t_final, dt, n_samples is None and drive is None)
     steps = None if n_samples is None else _sample_steps(n_steps, n_samples)
     out = _propagate([block], np.asarray(kets, dtype=complex), t_final, n_steps, steps, amp)
@@ -619,26 +654,55 @@ def _sector_split(mats: list, sector: np.ndarray) -> np.ndarray:
     return sector
 
 
+def _real_part(m: sp.spmatrix) -> Optional[sp.csr_matrix]:
+    """The complex ``m`` as a real CSR matrix, or None when an imaginary part
+    exceeds ``_REAL_FORM_TOL`` of its largest entry."""
+    m = m.tocsr()
+    # .real and .imag of a non-canonical matrix are views into m.data, which
+    # a later in-place canonicalization of either would permute
+    m.sum_duplicates()
+    if m.nnz and np.abs(m.data.imag).max() > _REAL_FORM_TOL * np.abs(m.data).max():
+        return None
+    real = m.real.copy()
+    real.eliminate_zeros()
+    return real
+
+
 def _real_form(block: sp.spmatrix, basis: sp.csr_matrix) -> sp.csr_matrix:
     """basis @ block @ basis^dag as a real CSR matrix.
 
     Raises if the imaginary part exceeds 1e-12 of the largest entry, i.e.
     when the generator does not preserve Hermiticity.
     """
-    m = (basis @ block @ basis.conj().T).tocsr()
-    # .real and .imag of a non-canonical matrix are views into m.data, which
-    # a later in-place canonicalization of either would permute
-    m.sum_duplicates()
-    if m.nnz:
-        residue = float(np.abs(m.data.imag).max())
-        if residue > _REAL_FORM_TOL * float(np.abs(m.data).max()):
-            raise ValueError(
-                f"generator is not Hermiticity-preserving: imaginary residue "
-                f"{residue:.2e} in its real-coordinate form"
-            )
-    real = m.real.copy()
-    real.eliminate_zeros()
+    real = _real_part(basis @ block @ basis.conj().T)
+    if real is None:
+        raise ValueError("generator is not Hermiticity-preserving: imaginary part above "
+                         f"{_REAL_FORM_TOL:g} of its largest entry in its real-coordinate form")
     return real
+
+
+def _chiral_gauge(block: dict, expo: np.ndarray) -> dict:
+    """``block`` in the coordinates conj(p) y, p = i^expo, when that makes
+    its ``l0`` and ``ld`` real: with ``basis`` diag(conj p), ``back``
+    diag(p), one sector and the real forms of ``l0`` and ``ld``.  Otherwise
+    (e.g. Delta != 0) ``block`` as it is.
+
+    The gauge multiplies entry (r, c) by i^(expo[c] - expo[r]); an entry
+    whose exponents differ by one becomes real when it is imaginary.  The
+    diagonal is unchanged, so an imaginary diagonal rejects the block before
+    anything is built.
+    """
+    l0, ld = block["l0"], block["ld"]
+    diag = l0.diagonal()
+    if np.abs(diag.imag).max(initial=0.0) > _REAL_FORM_TOL * np.abs(l0.data).max(initial=0.0):
+        return block
+    phase = np.array([1.0, 1j, -1.0, -1j])[expo % 4]
+    basis = sp.diags(phase.conj(), format="csr")
+    forms = [None if m is None else _real_part(basis @ m @ basis.conj().T) for m in (l0, ld)]
+    if forms[0] is None or (ld is not None and forms[1] is None):
+        return block
+    return {**block, "l0": forms[0], "ld": forms[1], "basis": basis,
+            "back": sp.diags(phase, format="csr"), "sector": np.ones(len(expo))}
 
 
 def _closure_groups(l0: sp.spmatrix, ld: Optional[sp.spmatrix], x: np.ndarray) -> list:
@@ -685,9 +749,11 @@ class LindbladGenerator:
     combinations of :func:`_mirror_sectors`, ``back`` its inverse
     basis^dag, ``l0`` and ``ld`` the real matrices basis @ L @ basis^dag
     without entries between the sectors, and ``sector`` the +1 or -1 sector
-    of each coordinate (all +1 when L lacks the mirror symmetry).  The other
-    chains keep ``basis``, ``back`` and ``sector`` None and complex blocks in
-    vec coordinates.
+    of each coordinate (all +1 when L lacks the mirror symmetry).  A
+    delta != 0 chain whose :func:`_chiral_gauge` is real (Delta = 0) has the
+    diagonal phase as ``basis``, its inverse as ``back``, real ``l0`` and
+    ``ld`` and one sector; otherwise it keeps ``basis``, ``back`` and
+    ``sector`` None and complex blocks in vec coordinates.
     """
 
     def __init__(
@@ -712,20 +778,24 @@ class LindbladGenerator:
 
         cvals = space.excitations
         delta = (cvals[:, None] - cvals[None, :]).reshape(-1)
+        parity = chiral_parity(space)
         self.chains = []
         for d in np.unique(delta):
             idx = np.where(delta == d)[0]
-            c0 = l0[idx][:, idx].tocsr()
-            cd = ld[idx][:, idx].tocsr() if ld is not None else None
-            basis = back = sector = None
+            chain = {"delta": int(d), "idx": idx, "l0": l0[idx][:, idx].tocsr(),
+                     "ld": ld[idx][:, idx].tocsr() if ld is not None else None,
+                     "basis": None, "back": None, "sector": None}
             if d == 0:
                 basis, sector = _mirror_sectors(idx, dim, *mirror_map(space))
-                back = basis.conj().T.tocsr()
-                c0 = _real_form(c0, basis)
-                cd = _real_form(cd, basis) if cd is not None else None
+                c0 = _real_form(chain["l0"], basis)
+                cd = _real_form(chain["ld"], basis) if ld is not None else None
                 sector = _sector_split([c0] if cd is None else [c0, cd], sector)
-            self.chains.append({"delta": int(d), "idx": idx, "l0": c0, "ld": cd,
-                                "basis": basis, "back": back, "sector": sector})
+                chain.update(l0=c0, ld=cd, basis=basis, back=basis.conj().T.tocsr(),
+                             sector=sector)
+            else:
+                rows, cols = np.divmod(idx, dim)
+                chain = _chiral_gauge(chain, parity[rows] - parity[cols])
+            self.chains.append(chain)
 
     @property
     def is_constant(self) -> bool:
@@ -739,8 +809,9 @@ class LindbladGenerator:
         dt: float = DEFAULT_DT,
         sample_steps: Optional[Sequence[int]] = None,
         n_steps: Optional[int] = None,
-    ) -> list:
-        """Propagate a (n, dim, dim) stack; returns sampled (n, dim, dim) stacks.
+    ) -> np.ndarray:
+        """Propagate a (n, dim, dim) stack; returns the (samples, n, dim, dim)
+        array of sampled stacks ((samples, dim, dim) for one (dim, dim) input).
 
         ``sample_steps`` indexes the requested RK4 steps (0 = initial state);
         when None only the final state is returned, and a time-independent
@@ -764,8 +835,9 @@ class LindbladGenerator:
         # the diagonal of rho sits at every (dim + 1)-th vec index
         _check_drift("trace", out, out[:, :: dim + 1].sum(axis=1), vecd[:: dim + 1].sum(axis=0),
                      t_final / n_steps, self.decay)
-        result = [v.T.reshape(n, dim, dim) for v in out]
-        return [r[0] for r in result] if squeeze else result
+        # a view: ``out`` holds each vec index's samples in one row
+        result = out.transpose(0, 2, 1).reshape(len(out), n, dim, dim)
+        return result[:, 0] if squeeze else result
 
 
 def evolve_densities(
@@ -793,7 +865,7 @@ def evolve_densities(
         rho0 = np.asarray(rho0, dtype=complex)
         if rho0.shape != (space.dim, space.dim):
             raise ValueError(f"rho0 must have shape ({space.dim}, {space.dim})")
-        states = np.stack(gen.evolve(rho0, t_final, dt, sample_steps=steps, n_steps=n_steps))
+        states = gen.evolve(rho0, t_final, dt, sample_steps=steps, n_steps=n_steps)
         yield Trajectory(
             times=steps * (t_final / n_steps),
             states=states,

@@ -7,6 +7,7 @@ import cavityfredkin.propagate as propagate
 from cavityfredkin.hilbert import (
     SparseOperator,
     build_space,
+    chiral_parity,
     excitation_of,
     mirror_map,
     qubit_embedding,
@@ -412,10 +413,15 @@ class TestRealChainForm:
         for chain in gen.chains:
             idx = chain["idx"]
             u = chain["basis"]
-            if chain["delta"] != 0:
+            if chain["delta"] != 0 and scheme == "dispersive":
                 assert u is None
                 assert sparse_max(chain["l0"] - l0[idx][:, idx]) < 1e-15
                 continue
+            if chain["delta"] != 0:
+                # the chiral gauge: a diagonal basis of fourth roots of unity
+                assert sparse_max(u - sp.diags(u.diagonal())) == 0.0
+                phases = u.diagonal()
+                assert np.all(np.isin(phases, [1, -1, 1j, -1j]))
             assert sparse_max(u @ u.conj().T - sp.identity(len(idx))) < 1e-15
             assert chain["l0"].dtype == np.float64
             expect = u @ l0[idx][:, idx] @ u.conj().T
@@ -854,6 +860,86 @@ class TestKetClosures:
         expected = _power_apply(step, kets.astype(complex), n_steps)  # 68 x 68 map
         got = evolve_states_final(h, kets, t_final, dt=dt)
         assert np.abs(got - expected).max() < 1e-12
+
+
+class TestChiralGauge:
+    """At Delta = 0 every Hamiltonian entry flips the chiral parity
+    pi = [atom 1 in e] + [atom 3 in e] + n_2, so the delta != 0 chains and
+    the ket block are real in the gauge y -> i^-pi y."""
+
+    @staticmethod
+    def flips(space, op):
+        m = op.matrix.tocoo()
+        pi = chiral_parity(space)
+        return np.abs(pi[m.row] - pi[m.col]) == 1
+
+    @pytest.mark.parametrize("sector_cap", [None, 2])
+    def test_parity_flips_on_every_entry_at_zero_detuning(self, sector_cap):
+        space = build_space(fock_cap=2, sector_cap=sector_cap)
+        assert space.dim == (729 if sector_cap is None else 68)
+        h0 = full_hamiltonian(space, PhysParams.resonant(), 0.0, 0.0)
+        for op in (h0, antisymmetric_drive(space)):
+            assert op.nnz > 0 and np.all(self.flips(space, op))
+        h = full_hamiltonian(space, PhysParams.dispersive(), 0.1, -0.1)
+        assert not np.all(self.flips(space, h))
+
+    def test_parity_is_mirror_invariant(self, sector):
+        perm, _ = mirror_map(sector)
+        pi = chiral_parity(sector)
+        assert np.array_equal(pi[perm], pi)
+
+    @staticmethod
+    def ket_block(monkeypatch, h, space):
+        blocks = []
+        core = propagate._propagate
+
+        def record(b, *args):
+            blocks.extend(b)
+            return core(b, *args)
+
+        monkeypatch.setattr(propagate, "_propagate", record)
+        kets = np.stack([qubit_embedding(space, q) for q in range(8)], axis=1)
+        evolve_states_final(h, kets, 1.0, dt=0.01)
+        (block,) = blocks
+        return block
+
+    def test_resonant_ket_block_is_gauged_and_dispersive_is_not(self, sector, monkeypatch):
+        h, _ = resonant_drive(sector, 0.05)
+        block = self.ket_block(monkeypatch, h, sector)
+        phase = 1j ** chiral_parity(sector)
+        assert sparse_max(block["basis"] - sp.diags(phase.conj())) < 1e-15
+        assert sparse_max(block["back"] - sp.diags(phase)) < 1e-15
+        assert np.all(block["sector"] == 1.0)
+        u = block["basis"]
+        for got, op in ((block["l0"], h.static), (block["ld"], h.drive)):
+            assert got.dtype == np.float64
+            assert sparse_max(got - u @ (-1j * op.matrix) @ u.conj().T) == 0.0
+        # the detuning's imaginary diagonal keeps the dispersive block complex
+        monkeypatch.undo()
+        h = full_hamiltonian(sector, PhysParams.dispersive(), 0.1, -0.1)
+        block = self.ket_block(monkeypatch, h, sector)
+        assert block.get("basis") is None
+        assert block["l0"].dtype == np.complex128
+
+    def test_lossy_resonant_channel_steps_in_one_real_loop(self, sector, monkeypatch):
+        # the lossy_resonant configuration: one float64 system for all
+        # chains, one sparse product per RK4 stage (3 loops before the gauge)
+        sched = DriveSchedule.adiabatic(0.05)
+        static = full_hamiltonian(sector, PhysParams.resonant(), 0.0, 0.0)
+        gen = LindbladGenerator(sector, static, DecayParams(kappa=0.01, gamma=0.01),
+                                antisymmetric_drive(sector), sched.amplitude)
+        loops = []
+        loop = propagate._rk4_loop
+
+        def record(stack, y, h, n, steps, amps):
+            loops.append((stack.dtype, y.shape[0], stack.nnz, n))
+            return loop(stack, y, h, n, steps, amps)
+
+        monkeypatch.setattr(propagate, "_rk4_loop", record)
+        n_steps = 4  # the closures, and so the system, do not depend on it
+        gen.evolve(matrix_units(sector), 0.04, n_steps=n_steps)
+        assert loops == [(np.float64, 3568, 20981, n_steps)]
+        assert all(c["l0"].dtype == c["ld"].dtype == np.float64 for c in gen.chains)
 
 
 @pytest.mark.parametrize("n", [0, 1, 3, 16, 255, 256, 1000])
