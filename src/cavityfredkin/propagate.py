@@ -13,11 +13,10 @@ largest of which (delta = 0 on the 68-state sector) has dimension 2830
 instead of 68^2 = 4624.  For a time-independent generator the RK4 step map
 is a fixed linear operator; it is built once per closure and applied by binary
 powering, which is algebraically identical to stepping but costs O(log N)
-matrix products instead of O(N).  Powering does all log2 N squarings of a
-power-of-two step count: applying a d x d power to a block of at most 8
-columns streams the whole power from memory, at about 6 GFLOP/s against about
-90 GFLOP/s for a squaring, so trading the last squarings for repeated
-applications costs more than it saves.  Sampled runs power the step map once
+matrix products instead of O(N).  The step count is ceil(T/dt) for every
+run: binary powering of any N makes floor(log2 N) squarings plus one narrow
+product with the input block per set bit of N, so a final state and the last
+sample of a sampled run share one dt.  Sampled runs power the step map once
 per distinct gap between sample steps and advance from sample to sample,
 kets as well as density closures.
 
@@ -229,12 +228,9 @@ def _check_dt(dt: float, hscale: float):
         )
 
 
-def _step_count(t_final: float, dt: float, power_of_two: bool = False) -> int:
-    """RK4 steps of length at most ``dt`` over [0, t_final]: ceil(T/dt), or,
-    for the final state of a constant generator (reached by binary
-    powering), the next power of two >= 2."""
-    if power_of_two:
-        return 1 << max(1, int(np.ceil(np.log2(max(2.0, t_final / dt)))))
+def _step_count(t_final: float, dt: float) -> int:
+    """RK4 steps of length at most ``dt`` over [0, t_final]: ceil(T/dt), for
+    sampled and final-state runs, powered and stepped alike."""
     return max(1, int(np.ceil(t_final / dt)))
 
 
@@ -467,7 +463,7 @@ def _evolve_kets(h, kets, t_final, dt, n_samples=None):
     block = _chiral_gauge({"idx": np.arange(static.space.dim), "l0": (-1j * static.matrix).tocsr(),
                            "ld": None if drive is None else (-1j * drive.matrix).tocsr()},
                           chiral_parity(static.space))
-    n_steps = _step_count(t_final, dt, n_samples is None and drive is None)
+    n_steps = _step_count(t_final, dt)
     steps = None if n_samples is None else _sample_steps(n_steps, n_samples)
     out = _propagate([block], np.asarray(kets, dtype=complex), t_final, n_steps, steps, amp)
     # squared norms per (sample, column) without a temporary of the stack's size
@@ -543,7 +539,7 @@ def evolve_states_final(
     """Final states of a (dim, n) stack of kets, no intermediate samples.
 
     For a time-independent Hamiltonian the fixed linear RK4 step is applied
-    by repeated squaring with the step count rounded up to a power of two.
+    by binary powering.
     """
     return _evolve_kets(h, kets, t_final, dt)[0][0]
 
@@ -828,7 +824,7 @@ class LindbladGenerator:
         n = rhos.shape[0]
         vecd = rhos.reshape(n, dim * dim).T  # (dim^2, n)
         if n_steps is None:
-            n_steps = _step_count(t_final, dt, sample_steps is None and self.is_constant)
+            n_steps = _step_count(t_final, dt)
         steps = None if sample_steps is None else sorted(set(int(s) for s in sample_steps))
         out = _propagate(self.chains, vecd, t_final, n_steps, steps,
                          None if self.is_constant else self.amplitude)

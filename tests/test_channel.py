@@ -241,8 +241,8 @@ def test_lossy_channel_is_mirror_symmetric(sector, scheme):
     q1 <-> q3 in |q2 q1 q3>, and the channel commutes with it.
 
     Mirror images such as |000><101| and |000><110| (delta = -1) are powered
-    on different closures through 2^15 dispersive steps, which leaves them
-    1.1e-12 apart; the resonant images agree to 3e-16."""
+    on different closures through 31 416 dispersive steps, which leaves them
+    1.2e-12 apart; the resonant images agree to 3e-16."""
     if scheme == "resonant":
         params, sched, tol = PhysParams.resonant(), DriveSchedule.adiabatic(0.1), 1e-12
     else:

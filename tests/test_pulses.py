@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from cavityfredkin.pulses import (
     DriveSchedule,
@@ -95,3 +96,15 @@ class TestPulseArea:
 
     def test_zero_amplitude(self):
         assert pulse_area(DriveSchedule.constant(0.0, 5.0)) == 0.0
+
+
+def test_pulse_area_matches_quadrature():
+    # the closed form against adaptive quadrature of A(t)/sqrt(3), on seeded
+    # draws of kind, peak and total time, matched or not to the gate time
+    rng = np.random.default_rng(20261019)
+    for _ in range(150):
+        kind = ("constant", "adiabatic")[rng.integers(2)]
+        s = DriveSchedule(kind, rng.uniform(0.01, 0.2), rng.uniform(1.0, 400.0))
+        want, _ = quad(lambda t: s.amplitude(t) / np.sqrt(3.0), 0.0, s.total_time,
+                       epsabs=0.0, epsrel=1e-13, limit=500)
+        assert pulse_area(s) == pytest.approx(want, rel=1e-10, abs=0.0)
