@@ -20,9 +20,21 @@ sample of a sampled run share one dt.  Sampled runs power the step map once
 per distinct gap between sample steps and advance from sample to sample,
 kets as well as density closures.
 
-A time-dependent generator A + a(t) B is stepped.  Each RK4 stage makes one
-sparse product with the stacked CSR matrix [A; B], whose upper rows give A y
-and lower rows B y with the same sums as two separate products.
+A time-dependent generator A + a(t) B is stepped, by one of two loops
+chosen from the size of the stepped system.  One RK4 step with stage
+amplitudes (a1, a2, a2, a3) is a fixed matrix polynomial: the sum of
+a1^p1 a2^p2 a3^p3 Q_p over 12 monomials (p1 <= 1, p2 <= 2, p3 <= 1), each
+Q_p a sum of products of at most four factors A or B times powers of h
+(:func:`_rk4_map_terms`).  When this composed map has at most
+``_MAP_NNZ_LIMIT`` = 11 000 nonzeros (the measured crossover),
+:func:`_rk4_map_loop` builds the Q_p once on its pattern, forms the maps of
+a chunk of steps as one product of the (steps, 12) monomial table with the
+(12, nnz) Q_p, and makes one sparse product per step.  It sums in another
+order than the stages: the resonant register kets move by at most 8e-14
+(1e-12 is the stated bound).  A larger system keeps :func:`_rk4_loop`: each
+RK4 stage makes one sparse product with the stacked CSR matrix [A; B],
+whose upper rows give A y and lower rows B y with the same sums as two
+separate products.
 
 The delta = 0 chain is closed under (i, j) -> (j, i), and every Lindblad
 generator maps rho^dag to L(rho)^dag.  In the orthonormal coordinates
@@ -88,8 +100,10 @@ Hamiltonian is one block over all states with A = -i H0 and B = -i Hd,
 gauged when the gauge is real, next to the density chains of
 :class:`LindbladGenerator`.  On the 68-state sector the 8 register kets
 fall into 6 closures of 22, 7 (two kets), 1, 29, 8 (two kets) and 1
-states, so the resonant ket loop makes 214 multiply-adds per stage instead
-of 188 nonzeros times 8 columns.  The
+states.  The resonant ket system stacks them into 83 rows with 214
+nonzeros per stage (instead of 188 nonzeros times 8 columns); its composed
+step map has 1 235 nonzeros, so it takes the map loop, while the lossy
+resonant channel's system (265 427 map nonzeros) keeps the stage loop.  The
 step count (:func:`_step_count`) and the abort rule on non-finite output
 and on norm or trace drift (:func:`_check_drift`) each live in one helper.
 """
@@ -124,6 +138,25 @@ _POWER_DIM_LIMIT = 4096
 #: samples mapped back from a block's basis per sparse product (bounds the
 #: temporaries of the back transform)
 _SAMPLE_CHUNK = 64
+
+#: a driven stepped system whose composed RK4 step map has at most this many
+#: nonzeros is stepped by :func:`_rk4_map_loop`, one product per step; larger
+#: ones by :func:`_rk4_loop`, four stage products per step.  The measured
+#: crossover: both loops were timed (best of 7, 2000 steps at the 0.1 g
+#: resonant pulse, 2-core machine) on the ket block and on unions of closure
+#: blocks of the lossy resonant channel system with 4 000 to 16 000 map
+#: nonzeros.  The map loop took 10 us a step on the ket block (1 235
+#: nonzeros; stages 40 us) and 36-59 us at 9 965 (stages 54-75 us); the two
+#: met between 11 000 and 12 000, where the product of the monomial table
+#: falls to one step per chunk (``_SERIAL_GEMM``).  The lossy resonant
+#: system's map has 265 427 nonzeros.
+_MAP_NNZ_LIMIT = 11_000
+
+#: multiply-adds of one product of the monomial table with the map terms.
+#: OpenBLAS runs a gemm of at most 2^18 (65536 x GEMM_MULTITHREAD_THRESHOLD
+#: 4) on one thread; a larger one starts its thread pool, whose spinning
+#: threads compete with the sweep pool's other worker processes.
+_SERIAL_GEMM = 2**18
 
 #: largest imaginary part, relative to the largest entry, tolerated in the
 #: real-coordinate form of the delta = 0 chain generator
@@ -352,6 +385,98 @@ def _rk4_loop(stack: sp.csr_matrix, y: np.ndarray, h: float, n_steps: int,
     return out
 
 
+def _map_pattern(a: sp.spmatrix, b: sp.spmatrix) -> Optional[sp.csr_matrix]:
+    """Sparsity pattern of the composed RK4 step map of y' = (A + a(t) B) y,
+    (I + |A| + |B|)^4 by two boolean squarings, with sorted indices; None
+    once it has more than ``_MAP_NNZ_LIMIT`` nonzeros.  Absolute values, so
+    that no entry cancels.
+    """
+    pattern = (abs(a) + abs(b) + sp.identity(a.shape[0], format="csr")).astype(bool)
+    for _ in range(2):
+        if pattern.nnz > _MAP_NNZ_LIMIT:
+            return None
+        pattern = pattern @ pattern
+    if pattern.nnz > _MAP_NNZ_LIMIT:
+        return None
+    pattern.sort_indices()
+    return pattern
+
+
+def _rk4_map_terms(a: sp.spmatrix, b: sp.spmatrix, h: float) -> dict:
+    """One RK4 step of y' = (A + a(t) B) y with stage amplitudes
+    (a1, a2, a2, a3) as {(p1, p2, p3): Q_p}: the step map is
+    sum_p a1^p1 a2^p2 a3^p3 Q_p.
+
+    The stages of :func:`_rk4_loop` run on the identity with a1, a2 and a3
+    kept symbolic; a stage multiplies by A + a_i B.  The map thus has 12
+    monomials (p1 <= 1, p2 <= 2, p3 <= 1), and each Q_p is a sum of products
+    of at most four factors A or B times powers of h.
+    """
+    eye = {(0, 0, 0): sp.identity(a.shape[0], dtype=np.result_type(a.dtype, b.dtype),
+                                format="csr")}
+
+    def add(terms, p, m):
+        terms[p] = terms[p] + m if p in terms else m
+
+    def rate(z, i):
+        out = {}
+        for p, m in z.items():
+            add(out, p, a @ m)
+            add(out, p[:i] + (p[i] + 1,) + p[i + 1:], b @ m)
+        return out
+
+    def plus_eye(*scaled):
+        out = dict(eye)
+        for c, z in scaled:
+            for p, m in z.items():
+                add(out, p, c * m)
+        return out
+
+    k1 = rate(eye, 0)
+    k2 = rate(plus_eye((0.5 * h, k1)), 1)
+    k3 = rate(plus_eye((0.5 * h, k2)), 1)
+    k4 = rate(plus_eye((h, k3)), 2)
+    return plus_eye((h / 6.0, k1), (h / 3.0, k2), (h / 3.0, k3), (h / 6.0, k4))
+
+
+def _rk4_map_loop(a: sp.spmatrix, b: sp.spmatrix, pattern: sp.csr_matrix, y: np.ndarray,
+                  h: float, n_steps: int, steps: Sequence[int], amps: list) -> np.ndarray:
+    """:func:`_rk4_loop` for y' = (A + a(t) B) y with one sparse product per
+    step: the composed step map of :func:`_rk4_map_terms` on ``pattern``
+    (:func:`_map_pattern`).
+
+    The maps of a chunk of steps are one product of their (steps, 12)
+    monomial table with the (12, nnz) terms, each at most ``_SERIAL_GEMM``
+    multiply-adds; the step map keeps its pattern and takes each step's
+    values in turn.
+    """
+    terms = _rk4_map_terms(a, b, h)
+    powers = sorted(terms)
+    n = pattern.shape[0]
+    entries = pattern.tocoo()
+    flat = entries.row.astype(np.int64) * n + entries.col  # sorted, as the indices are
+    table = np.zeros((len(powers), pattern.nnz), dtype=np.result_type(a.dtype, b.dtype))
+    for row, p in zip(table, powers):
+        q = terms[p].tocoo()
+        row[np.searchsorted(flat, q.row.astype(np.int64) * n + q.col)] = q.data
+    step = pattern.astype(table.dtype)
+    out = np.empty((len(steps),) + y.shape, dtype=np.result_type(table, y))
+    slot = {int(s): i for i, s in enumerate(steps)}
+    if 0 in slot:
+        out[slot[0]] = y
+    amps = np.asarray(amps)
+    a1, a2, a3 = amps[:-1:2], amps[1::2], amps[2::2]  # each step's stage amplitudes
+    monomials = np.stack([a1**p1 * a2**p2 * a3**p3 for p1, p2, p3 in powers], axis=1)
+    chunk = max(1, _SERIAL_GEMM // table.size)
+    for first in range(0, n_steps, chunk):
+        for k, values in enumerate(monomials[first:first + chunk] @ table, start=first + 1):
+            step.data = values
+            y = step @ y
+            if k in slot:
+                out[slot[k]] = y
+    return out
+
+
 def _amplitude_samples(amp: Callable, h: float, n_steps: int) -> list:
     """Drive amplitude at the RK4 stage times t_0, t_0 + h/2, t_1, ..., t_n
     (2 n + 1 values), with t_{k+1} = t_k + h accumulated as the steppers do.
@@ -382,7 +507,9 @@ def _propagate(blocks: Sequence[dict], x: np.ndarray, t_final: float, n_steps: i
     columns of each block are propagated on their closures: a closure of a
     constant block is powered (up to ``_POWER_DIM_LIMIT`` indices); the
     others, of all blocks, are stacked one block per column and stepped in
-    one loop per dtype.  ``steps`` are the sorted, distinct sample steps
+    one loop per dtype: by composed step maps (:func:`_rk4_map_loop`) when a
+    driven system's map is small (:func:`_map_pattern`), stage by stage
+    (:func:`_rk4_loop`) otherwise.  ``steps`` are the sorted, distinct sample steps
     (None: step ``n_steps`` only); returns the (len(steps),) + x.shape
     samples.
     """
@@ -429,9 +556,14 @@ def _propagate(blocks: Sequence[dict], x: np.ndarray, t_final: float, n_steps: i
         # one block per column, each column's rows in closure order
         a, b = (None if part[0][k] is None else sp.block_diag(
             [s[k] for s in part for _ in range(s[2].shape[1])], format="csr") for k in (0, 1))
-        stack = a if b is None else sp.vstack([a, b], format="csr")
-        y = np.concatenate([s[2].T.ravel() for s in part])[:, None]
-        sampled = _rk4_loop(stack, y, h, n_steps, steps, None if b is None else amps)[:, :, 0]
+        y = np.concatenate([s[2].T.ravel() for s in part])
+        pattern = None if b is None else _map_pattern(a, b)
+        if pattern is not None:
+            sampled = _rk4_map_loop(a, b, pattern, y, h, n_steps, steps, amps)
+        else:
+            stack = a if b is None else sp.vstack([a, b], format="csr")
+            sampled = _rk4_loop(stack, y[:, None], h, n_steps, steps,
+                                None if b is None else amps)[:, :, 0]
         pos = 0
         for _, _, y0, (buf, rows, group) in part:
             buf[:, np.tile(rows, len(group)), np.repeat(group, len(rows))] = \

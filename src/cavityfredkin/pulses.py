@@ -85,6 +85,9 @@ def pulse_area(schedule: DriveSchedule) -> float:
     a = sqrt(2/3) peak, gives peak (T - sin(2 a T) / (2 a)) for any T.
     Equals pi/sqrt(2) for any schedule satisfying the one-step swap
     condition, which the adiabatic pulse does at its matched gate time.
+
+    For x = 2 a T below 0.5 the difference cancels (relative error about
+    6 eps / x^2), so it is summed as the series of (x - sin x) / (2 a).
     """
     peak, total = schedule.peak, schedule.total_time
     if peak == 0.0:
@@ -92,4 +95,13 @@ def pulse_area(schedule: DriveSchedule) -> float:
     if schedule.is_constant:
         return peak * total / np.sqrt(3.0)
     a = np.sqrt(2.0 / 3.0) * peak
-    return peak * (total - np.sin(2.0 * a * total) / (2.0 * a)) / np.sqrt(3.0)
+    x = 2.0 * a * total
+    if x >= 0.5:
+        return peak * (total - np.sin(x) / (2.0 * a)) / np.sqrt(3.0)
+    # x - sin x = x^3/3! - x^5/5! + ..., summed until a term no longer counts
+    term, series, k = x**3 / 6.0, 0.0, 3
+    while series + term != series:
+        series += term
+        term *= -x * x / ((k + 1) * (k + 2))
+        k += 2
+    return peak * series / (2.0 * a) / np.sqrt(3.0)

@@ -20,8 +20,11 @@ from cavityfredkin.propagate import (
     LindbladGenerator,
     _amplitude_samples,
     _closure_groups,
+    _map_pattern,
     _power_apply,
     _rk4_loop,
+    _rk4_map_loop,
+    _rk4_map_terms,
     _rk4_taylor_step,
     _spectral_norm,
     evolve_density,
@@ -808,19 +811,20 @@ class TestSharedSteppers:
             assert traj.metadata["n_steps"] == n_steps
             assert np.abs(traj.states - expected[:, :, j]).max() <= 1e-11
 
-    def test_driven_ket_loop_matches_two_product_stages(self, sector):
+    def test_driven_ket_loop_matches_two_product_stages(self, sector, monkeypatch):
         h, t_gate = resonant_drive(sector, 0.1)
+        block = TestChiralGauge.ket_block(monkeypatch, h, sector)
         kets = np.stack([qubit_embedding(sector, q) for q in range(8)], axis=1)
-        trajs = evolve_states(h, kets, t_gate, n_samples=40)
-        n_steps = trajs[0].metadata["n_steps"]
-        dt = trajs[0].metadata["dt"]
-        h0, hd = h.static.matrix, h.drive.matrix
-        expected = rk4_reference(
-            lambda y, a: -1j * (h0 @ y + a * (hd @ y)), kets.astype(complex), dt, n_steps,
-            _amplitude_samples(h.amplitude, dt, n_steps),
-            propagate._sample_steps(n_steps, 40))
-        for j, traj in enumerate(trajs):
-            assert np.array_equal(traj.states, expected[:, :, j])
+        x = np.ascontiguousarray(block["basis"] @ kets).view(np.float64)  # gauged, real
+        x = np.ascontiguousarray(x[:, np.any(x, axis=0)])
+        n_steps = propagate._step_count(t_gate, propagate.DEFAULT_DT)
+        dt = t_gate / n_steps
+        amps = _amplitude_samples(h.amplitude, dt, n_steps)
+        steps = propagate._sample_steps(n_steps, 40)
+        l0, ld = block["l0"], block["ld"]
+        got = _rk4_loop(sp.vstack([l0, ld], format="csr"), x, dt, n_steps, steps, amps)
+        expected = rk4_reference(lambda y, a: l0 @ y + a * (ld @ y), x, dt, n_steps, amps, steps)
+        assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize("delta", [0, 1])
     def test_driven_chain_loop_matches_two_product_stages(self, sector, delta):
@@ -835,6 +839,81 @@ class TestSharedSteppers:
         got = _rk4_loop(sp.vstack([l0, ld], format="csr"), x, h, n_steps, steps, amps)
         expected = rk4_reference(lambda y, a: l0 @ y + a * (ld @ y), x, h, n_steps, amps, steps)
         assert np.array_equal(got, expected)
+
+
+class TestComposedStepMaps:
+    """A small driven system steps with the composed RK4 step map, one
+    sparse product per step, instead of four stage products."""
+
+    MONOMIALS = [(p1, p2, p3) for p1 in (0, 1) for p2 in (0, 1, 2) for p3 in (0, 1)]
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_composed_step_matches_stage_step(self, dtype):
+        rng = np.random.default_rng(14 if dtype == np.float64 else 15)
+        n = 30
+
+        def values(k):
+            v = rng.uniform(-1.0, 1.0, k)
+            return v + 1j * rng.uniform(-1.0, 1.0, k) if dtype == np.complex128 else v
+
+        a, b = (sp.random(n, n, density=0.15, format="csr", dtype=dtype, random_state=rng,
+                          data_rvs=values) for _ in range(2))
+        h = 0.1
+        x = values(3 * n).reshape(n, 3)
+        terms = _rk4_map_terms(a, b, h)
+        assert sorted(terms) == self.MONOMIALS
+        for _ in range(5):
+            amps = rng.uniform(-2.0, 2.0, 3).tolist()
+            step = sum(amps[0] ** p1 * amps[1] ** p2 * amps[2] ** p3 * q
+                       for (p1, p2, p3), q in terms.items())
+            want = _rk4_loop(sp.vstack([a, b], format="csr"), x, h, 1, [1], amps)[0]
+            scale = np.abs(want).max()
+            assert np.abs(step @ x - want).max() <= 1e-14 * scale
+            got = _rk4_map_loop(a, b, _map_pattern(a, b), x, h, 1, [0, 1], amps)
+            assert got.dtype == dtype
+            assert np.array_equal(got[0], x)
+            assert np.abs(got[1] - want).max() <= 1e-14 * scale
+
+    def test_driven_kets_match_stage_reference(self, sector):
+        h, t_gate = resonant_drive(sector, 0.1)
+        kets = np.stack([qubit_embedding(sector, q) for q in range(8)], axis=1)
+        trajs = evolve_states(h, kets, t_gate, n_samples=40)
+        n_steps = trajs[0].metadata["n_steps"]
+        dt = trajs[0].metadata["dt"]
+        h0, hd = h.static.matrix, h.drive.matrix
+        expected = rk4_reference(
+            lambda y, a: -1j * (h0 @ y + a * (hd @ y)), kets.astype(complex), dt, n_steps,
+            _amplitude_samples(h.amplitude, dt, n_steps),
+            propagate._sample_steps(n_steps, 40))
+        for j, traj in enumerate(trajs):
+            assert np.abs(traj.states - expected[:, :, j]).max() < 1e-12
+        final = evolve_states_final(h, kets, t_gate)
+        assert np.abs(final - expected[-1]).max() < 1e-12
+
+    def test_ket_block_takes_maps_and_lossy_channel_the_stage_loop(self, sector, monkeypatch):
+        loops = []
+        stage_loop, map_loop = propagate._rk4_loop, propagate._rk4_map_loop
+
+        def record_stages(stack, y, *args):
+            loops.append(("stages", stack.nnz))
+            return stage_loop(stack, y, *args)
+
+        def record_map(a, b, pattern, *args):
+            loops.append(("map", pattern.nnz))
+            return map_loop(a, b, pattern, *args)
+
+        monkeypatch.setattr(propagate, "_rk4_loop", record_stages)
+        monkeypatch.setattr(propagate, "_rk4_map_loop", record_map)
+        h, _ = resonant_drive(sector, 0.05)
+        kets = np.stack([qubit_embedding(sector, q) for q in range(8)], axis=1)
+        evolve_states_final(h, kets, 1.0)
+        assert loops == [("map", 1235)]
+        loops.clear()
+        static = full_hamiltonian(sector, PhysParams.resonant(), 0.0, 0.0)
+        gen = LindbladGenerator(sector, static, DecayParams(kappa=0.01, gamma=0.01),
+                                antisymmetric_drive(sector), DriveSchedule.adiabatic(0.05).amplitude)
+        gen.evolve(matrix_units(sector), 0.04, n_steps=4)
+        assert loops == [("stages", 20981)]
 
 
 class TestKetClosures:

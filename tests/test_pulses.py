@@ -1,3 +1,6 @@
+from fractions import Fraction
+from math import factorial
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -108,3 +111,25 @@ def test_pulse_area_matches_quadrature():
         want, _ = quad(lambda t: s.amplitude(t) / np.sqrt(3.0), 0.0, s.total_time,
                        epsabs=0.0, epsrel=1e-13, limit=500)
         assert pulse_area(s) == pytest.approx(want, rel=1e-10, abs=0.0)
+
+
+def test_short_pulse_area_matches_taylor_series():
+    # sin^2 pulses far shorter than the gate, x = 2 a T from 1e-6 to 2: the
+    # area peak (x - sin x) / (2 a sqrt3) against its Taylor series summed
+    # in exact rational arithmetic
+    rng = np.random.default_rng(20261020)
+
+    def series_area(peak, total):
+        a = np.sqrt(2.0 / 3.0) * peak
+        x = Fraction(2.0 * a * total)
+        diff = sum(Fraction((-1) ** k, factorial(2 * k + 3)) * x ** (2 * k + 3) for k in range(20))
+        return float(Fraction(peak) * diff / Fraction(2.0 * a) / Fraction(np.sqrt(3.0)))
+
+    cases = [(0.001, 0.01), (0.01, 0.01), (0.01, 1.0)]
+    for _ in range(100):
+        peak = 10.0 ** rng.uniform(-4.0, -0.7)
+        x = 10.0 ** rng.uniform(-6.0, np.log10(2.0))
+        cases.append((peak, x / (2.0 * np.sqrt(2.0 / 3.0) * peak)))
+    for peak, total in cases:
+        got = pulse_area(DriveSchedule("adiabatic", peak, total))
+        assert got == pytest.approx(series_area(peak, total), rel=1e-13, abs=0.0)
