@@ -8,11 +8,14 @@ for any A by linearity.  The figure of merit is
     F_avg = [sum_j tr(U U_j^dag U^dag eps(U_j)) + d^2] / [d^2 (d + 1)]
 
 with d = 8, U the ideal controlled-SWAP and U_j the 64 Pauli tensor
-products.
+products.  The U_j and their rotated copies U U_j^dag U^dag are constants:
+their products form one kernel, built once per process, and the sum is its
+dot product with the 64 images.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -60,9 +63,12 @@ def fredkin_ideal() -> IdealGate:
     return IdealGate(matrix=u)
 
 
+@functools.lru_cache(maxsize=None)
 def pauli_tensor_basis() -> np.ndarray:
     """All 64 tensor products of {I, X, Y, Z} over (control, target1, target2),
-    enumerated lexicographically; element 0 is the identity."""
+    enumerated lexicographically; element 0 is the identity.
+
+    Built once per process and returned read-only."""
     i2 = np.eye(2)
     x = np.array([[0.0, 1.0], [1.0, 0.0]])
     y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -75,6 +81,30 @@ def pauli_tensor_basis() -> np.ndarray:
             for p3 in singles:
                 out[j] = np.kron(p2, np.kron(p1, p3))
                 j += 1
+    out.flags.writeable = False
+    return out
+
+
+def _fidelity_kernel(u: np.ndarray) -> np.ndarray:
+    """K with K[m, n, b, a] = sum_j U_j[m, n] (U U_j^dag U^dag)[a, b] over the
+    64 Pauli products U_j, flattened: since eps(U_j) = sum_mn U_j[m, n]
+    eps(E_mn), K dotted with the flattened images is the Pauli sum
+    sum_j tr(U U_j^dag U^dag eps(U_j)).
+
+    Summed by einsum, not as a (64, 64) x (64, 64) complex matrix product:
+    OpenBLAS runs that product on every core (process CPU/wall 2.0 on a
+    2-core machine), and its spinning threads then slow the sweep pool's
+    other workers."""
+    basis = pauli_tensor_basis()
+    rotated = u @ basis.conj().transpose(0, 2, 1) @ u.conj().T
+    return np.einsum("jmn,jab->mnba", basis, rotated).reshape(D**4)
+
+
+@functools.lru_cache(maxsize=None)
+def _fredkin_kernel() -> np.ndarray:
+    """:func:`_fidelity_kernel` of the controlled-SWAP, built once per process."""
+    out = _fidelity_kernel(fredkin_ideal().matrix)
+    out.flags.writeable = False
     return out
 
 
@@ -216,15 +246,12 @@ def average_gate_fidelity(
     """Pauli-basis average gate fidelity of the channel against the ideal gate.
 
     The 64-term sum is assembled by linearity from the stored matrix-unit
-    images.  Its imaginary residue is a numerical diagnostic and must stay
-    below 1e-8.
+    images, as one dot product with the kernel of :func:`_fidelity_kernel`,
+    which is built once per process for the default ideal gate.  Its
+    imaginary residue is a numerical diagnostic and must stay below 1e-8.
     """
-    ideal = fredkin_ideal() if ideal is None else ideal
-    u = ideal.matrix
-    basis = pauli_tensor_basis()
-    eps_of = np.einsum("jmn,mnab->jab", basis, channel.images)
-    rotated = np.einsum("ab,jbc,dc->jad", u, basis.conj().transpose(0, 2, 1), u.conj())
-    total = np.einsum("jab,jba->", rotated, eps_of)
+    kernel = _fredkin_kernel() if ideal is None else _fidelity_kernel(ideal.matrix)
+    total = kernel @ channel.images.ravel()
     if abs(total.imag) >= IMAG_RESIDUE_TOL:
         warnings.warn(
             f"imaginary residue {abs(total.imag):.2e} in the fidelity sum",

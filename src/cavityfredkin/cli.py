@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -295,9 +296,9 @@ def run_populations(cfg: ExperimentConfig) -> dict:
     qubit_atoms = ["".join("01"[b] for b in ((q >> 1) & 1, (q >> 2) & 1, q & 1))
                    for q in range(8)]
     targets = [(a, "000") for a in qubit_atoms]
-    stem, dot, ext = cfg.output.rpartition(".")
-    if not dot:
-        stem, ext = cfg.output, "csv"
+    # the extension of the file name only: a dot in a directory name is not one
+    stem, ext = os.path.splitext(cfg.output)
+    ext = ext or ".csv"
     kets = np.stack([qubit_embedding(space, q) for q in range(8)], axis=1)
     if decay.dissipative:
         # one generator, one input at a time: eight sampled density series
@@ -309,7 +310,7 @@ def run_populations(cfg: ExperimentConfig) -> dict:
     files = []
     for q, traj in enumerate(trajs):
         pops = population_series(traj, targets)
-        path = f"{stem}_from_q{q}.{ext}"
+        path = f"{stem}_from_q{q}{ext}"
         with open(path, "w") as fh:
             for line in _provenance(cfg):
                 fh.write(line + "\n")

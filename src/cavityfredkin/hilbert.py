@@ -18,6 +18,7 @@ With ``fock_cap=2`` that sector has 68 states instead of 729.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
@@ -108,6 +109,10 @@ class HilbertSpace:
 def build_space(fock_cap: int, sector_cap: Optional[int] = None) -> HilbertSpace:
     """Enumerate the composite basis, optionally restricted to C <= sector_cap.
 
+    A space is immutable, so it is built once per process and argument pair:
+    every call with the same ``(fock_cap, sector_cap)`` returns the same
+    instance, and operators built on one call's space combine with another's.
+
     Parameters
     ----------
     fock_cap : int
@@ -124,7 +129,11 @@ def build_space(fock_cap: int, sector_cap: Optional[int] = None) -> HilbertSpace
         raise ValueError(f"fock_cap must be >= 1, got {fock_cap}")
     if sector_cap is not None and sector_cap < 0:
         raise ValueError(f"sector_cap must be >= 0, got {sector_cap}")
+    return _enumerated_space(fock_cap, sector_cap)
 
+
+@functools.lru_cache(maxsize=None, typed=True)
+def _enumerated_space(fock_cap: int, sector_cap: Optional[int]) -> HilbertSpace:
     basis = []
     photon_range = range(fock_cap + 1)
     for atoms in itertools.product(range(3), repeat=3):

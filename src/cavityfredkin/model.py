@@ -7,11 +7,14 @@ the local photon, and a one-photon detuning Delta on the excited levels.
 Delta = 0 gives the resonant gate scheme, Delta = g the dispersive one.
 
 Everything here is a pure function of immutable inputs; rates are in units
-of g unless stated otherwise.
+of g unless stated otherwise.  The Hamiltonian's five unit terms (two drives,
+hopping, Jaynes-Cummings, detuning) are built once per space, and every
+Hamiltonian is a new weighted sum of them.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -73,15 +76,47 @@ class EigenSystem:
 # Hamiltonian assembly
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=16)
+def _unit_terms(space: HilbertSpace) -> tuple:
+    """The five unit terms of the Hamiltonian on ``space`` as CSR matrices,
+    built once per space: D_1 and D_3 (|e_i><1_i| + h.c. on atoms 1 and 3),
+    H_hop, H_jc and H_det, in the order of :func:`_combination`'s rates.
+
+    No two terms share an entry, so each entry of a weighted sum is one
+    rate times one unit entry, as in the sum of the rates times the
+    elementary operators (2 Delta on a doubly excited state is exact either
+    way).  The matrices stay private: every public function returns a new
+    operator.
+    """
+    def plus_dag(op):
+        return op + op.dag()
+
+    def total(ops):
+        return functools.reduce(SparseOperator.__add__, ops).matrix
+
+    drives = [plus_dag(atom_transition(space, i, 1, 2)).matrix for i in (1, 3)]
+    hop = total(plus_dag(cavity_lowering(space, k).dag() @ cavity_lowering(space, k + 1))
+                for k in (1, 2))
+    jc = total(plus_dag(atom_transition(space, i, 0, 2) @ cavity_lowering(space, i))
+               for i in (1, 2, 3))
+    det = total(atom_transition(space, i, 2, 2) for i in (1, 2, 3))
+    return (*drives, hop, jc, det)
+
+
+def _combination(space: HilbertSpace, rates: tuple) -> SparseOperator:
+    """Omega_1 D_1 + Omega_3 D_3 + J H_hop + g H_jc + Delta H_det for
+    ``rates`` = (Omega_1, Omega_3, J, g, Delta), summed over the nonzero
+    rates into a new operator."""
+    h = sp.csr_matrix((space.dim, space.dim), dtype=complex)
+    for rate, term in zip(rates, _unit_terms(space)):
+        if rate != 0.0:
+            h = h + rate * term
+    return SparseOperator(space, h)
+
+
 def drive_terms(space: HilbertSpace, omega1: float, omega3: float) -> SparseOperator:
     """Classical-field part: Omega_1 (|e_1><1_1| + h.c.) + Omega_3 (|e_3><1_3| + h.c.)."""
-    h = SparseOperator.zero(space)
-    for i, om in ((1, omega1), (3, omega3)):
-        if om == 0.0:
-            continue
-        s = atom_transition(space, i, 1, 2)
-        h = h + om * (s + s.dag())
-    return h
+    return _combination(space, (omega1, omega3, 0.0, 0.0, 0.0))
 
 
 def antisymmetric_drive(space: HilbertSpace) -> SparseOperator:
@@ -92,44 +127,25 @@ def antisymmetric_drive(space: HilbertSpace) -> SparseOperator:
 
 def hopping_terms(space: HilbertSpace, J: float) -> SparseOperator:
     """Photon hopping J sum_k (a_k^dag a_{k+1} + h.c.) between neighbours."""
-    h = SparseOperator.zero(space)
-    if J == 0.0:
-        return h
-    for k in (1, 2):
-        hop = cavity_lowering(space, k).dag() @ cavity_lowering(space, k + 1)
-        h = h + J * (hop + hop.dag())
-    return h
+    return _combination(space, (0.0, 0.0, J, 0.0, 0.0))
 
 
 def jc_terms(space: HilbertSpace, g: float) -> SparseOperator:
     """Jaynes-Cummings exchange g sum_i (a_i |e_i><0_i| + h.c.)."""
-    h = SparseOperator.zero(space)
-    for i in (1, 2, 3):
-        jc = atom_transition(space, i, 0, 2) @ cavity_lowering(space, i)
-        h = h + g * (jc + jc.dag())
-    return h
+    return _combination(space, (0.0, 0.0, 0.0, g, 0.0))
 
 
 def detuning_term(space: HilbertSpace, delta: float) -> SparseOperator:
     """One-photon detuning delta sum_i |e_i><e_i|."""
-    h = SparseOperator.zero(space)
-    if delta == 0.0:
-        return h
-    for i in (1, 2, 3):
-        h = h + delta * atom_transition(space, i, 2, 2)
-    return h
+    return _combination(space, (0.0, 0.0, 0.0, 0.0, delta))
 
 
 def full_hamiltonian(
     space: HilbertSpace, params: PhysParams, omega1: float, omega3: float
 ) -> SparseOperator:
-    """Interaction-picture Hamiltonian of the driven coupled-cavity array."""
-    return (
-        drive_terms(space, omega1, omega3)
-        + hopping_terms(space, params.J)
-        + jc_terms(space, params.g)
-        + detuning_term(space, params.delta)
-    )
+    """Interaction-picture Hamiltonian of the driven coupled-cavity array,
+    a new operator on each call, weighted from the unit terms of ``space``."""
+    return _combination(space, (omega1, omega3, params.J, params.g, params.delta))
 
 
 def zeno_split(

@@ -1,7 +1,9 @@
 """Schroedinger and Lindblad propagation with fixed-step 4th-order Runge-Kutta.
 
 Drive amplitudes are sampled exactly at the RK4 sub-stage times (t, t+dt/2,
-t+dt), preserving 4th-order accuracy for smooth pulses.  The default step
+t+dt), preserving 4th-order accuracy for smooth pulses.  A drive callable
+takes an array of times: a run evaluates it on all 2 n + 1 stage times in
+one call (:func:`_amplitude_samples`).  The default step
 dt = 0.01/g resolves the fastest frequency scale (~sqrt(3) g) comfortably;
 callers may pass a smaller step, and every entry point enforces
 dt <= 0.05 / ||H||.
@@ -186,11 +188,16 @@ class DecayParams:
 
 @dataclass(frozen=True)
 class DrivenOperator:
-    """Time-dependent Hamiltonian H(t) = static + amplitude(t) * drive."""
+    """Time-dependent Hamiltonian H(t) = static + amplitude(t) * drive.
+
+    ``amplitude`` maps a float array of times to the array of drive values
+    (a scalar result is broadcast); a run calls it twice, once on the 257
+    probes of the dt check and once on all 2 n + 1 RK4 stage times.
+    """
 
     static: SparseOperator
     drive: SparseOperator
-    amplitude: Callable[[float], float]
+    amplitude: Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass
@@ -240,8 +247,8 @@ def _spectral_norm(op: SparseOperator) -> float:
 
 
 def _peak_amplitude(amp: Callable, t_final: float) -> float:
-    ts = np.linspace(0.0, t_final, 257)
-    return float(max(abs(amp(t)) for t in ts))
+    """Largest |a(t)| on 257 probes over [0, t_final], in one call of ``amp``."""
+    return float(np.abs(amp(np.linspace(0.0, t_final, 257))).max())
 
 
 def _hamiltonian_scale(static, drive, amp, t_final) -> float:
@@ -479,19 +486,18 @@ def _rk4_map_loop(a: sp.spmatrix, b: sp.spmatrix, pattern: sp.csr_matrix, y: np.
 
 def _amplitude_samples(amp: Callable, h: float, n_steps: int) -> list:
     """Drive amplitude at the RK4 stage times t_0, t_0 + h/2, t_1, ..., t_n
-    (2 n + 1 values), with t_{k+1} = t_k + h accumulated as the steppers do.
+    (2 n + 1 values), from one call of ``amp`` on all of them.
 
-    Step k uses entries 2k, 2k + 1 and 2k + 2; the end of one step is the
-    start of the next, so each distinct time is evaluated once.
+    t_k is the running sum of k copies of h (``np.cumsum`` adds in order, so
+    each t_k is the one that ``t += h`` reaches).  Step k uses entries 2k,
+    2k + 1 and 2k + 2; the end of one step is the start of the next, so
+    each distinct time is evaluated once.
     """
-    vals = np.empty(2 * n_steps + 1)
-    t = 0.0
-    for k in range(n_steps):
-        vals[2 * k] = amp(t)
-        vals[2 * k + 1] = amp(t + h / 2)
-        t += h
-    vals[2 * n_steps] = amp(t)
-    return vals.tolist()
+    t = np.concatenate(([0.0], np.cumsum(np.full(n_steps, h))))
+    times = np.empty(2 * n_steps + 1)
+    times[0::2] = t
+    times[1::2] = t[:-1] + h / 2
+    return np.broadcast_to(np.asarray(amp(times), dtype=float), times.shape).tolist()
 
 
 def _propagate(blocks: Sequence[dict], x: np.ndarray, t_final: float, n_steps: int,

@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg as la
 
 from cavityfredkin.channel import (
+    IdealGate,
     QuantumChannel,
     average_fidelity_from_kets,
     average_gate_fidelity,
@@ -73,6 +74,12 @@ class TestPauliTensorBasis:
         basis = pauli_tensor_basis()
         gram = np.einsum("iab,jba->ij", basis.conj().transpose(0, 2, 1), basis)
         assert np.abs(gram - 8 * np.eye(64)).max() < 1e-12
+
+    def test_built_once_and_read_only(self):
+        basis = pauli_tensor_basis()
+        assert pauli_tensor_basis() is basis
+        with pytest.raises(ValueError, match="read-only"):
+            basis[0, 0, 0] = 2.0
 
 
 class TestAverageGateFidelity:
@@ -233,6 +240,40 @@ class TestReconstructChannel:
                 DecayParams(kappa=0.01),
                 method="state",
             )
+
+
+def pauli_einsum_fidelity(images, u):
+    """The Pauli sum of average_gate_fidelity as three-operand einsums."""
+    basis = pauli_tensor_basis()
+    eps_of = np.einsum("jmn,mnab->jab", basis, images)
+    rotated = np.einsum("ab,jbc,dc->jad", u, basis.conj().transpose(0, 2, 1), u.conj())
+    return (np.einsum("jab,jba->", rotated, eps_of).real + 64.0) / 576.0
+
+
+@pytest.mark.parametrize("decay", [DecayParams(), DecayParams(kappa=0.01, gamma=0.01)])
+def test_fidelity_matches_pauli_einsum(sector, decay):
+    """The kernel's dot product agrees with the einsum form, for the
+    default ideal (whose kernel is built once) and for another gate."""
+    ch = reconstruct_channel("resonant", PhysParams.resonant(), DriveSchedule.adiabatic(0.1),
+                             decay, space=sector)
+    u = fredkin_ideal().matrix
+    assert abs(average_gate_fidelity(ch) - pauli_einsum_fidelity(ch.images, u)) < 1e-14
+    cz = np.diag([1.0] * 7 + [-1.0])
+    assert abs(average_gate_fidelity(ch, IdealGate(cz))
+               - pauli_einsum_fidelity(ch.images, cz)) < 1e-14
+
+
+def test_repeated_run_is_bit_identical(sector):
+    """The per-process constants (space, unit terms, fidelity kernel) carry no
+    state from one run to the next."""
+    args = ("resonant", PhysParams.resonant(), DriveSchedule.adiabatic(0.1), DecayParams())
+    first = reconstruct_channel(*args, space=sector)
+    fid = average_gate_fidelity(first)
+    reconstruct_channel("dispersive", PhysParams.dispersive(),
+                        DriveSchedule.constant(0.1, dispersive_gate_time(0.1)), DecayParams())
+    again = reconstruct_channel(*args, space=build_space(2, 2))
+    assert np.array_equal(again.images, first.images)
+    assert average_gate_fidelity(again) == fid
 
 
 @pytest.mark.parametrize("scheme", ["resonant", "dispersive"])

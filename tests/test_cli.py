@@ -154,6 +154,17 @@ class TestPopulationsTask:
         )
         assert strip(a) == strip(b)
 
+    def test_dotted_directory_without_extension(self, tmp_path):
+        """Only the file name's extension is split off: a dot in a directory
+        name stays, and a name without an extension gets ``.csv``."""
+        folder = tmp_path / "v1.2"
+        folder.mkdir()
+        cfg = ExperimentConfig(task="populations", scheme="resonant", Omega_over_g="0.1",
+                               output=str(folder / "pops"))
+        summary = run_experiment(cfg)
+        assert summary["files"] == [str(folder / f"pops_from_q{q}.csv") for q in range(8)]
+        assert all((folder / f"pops_from_q{q}.csv").exists() for q in range(8))
+
     def test_row_format_matches_fmt(self):
         rng = np.random.default_rng(11)
         values = [0.0, 1.0, 1e-5, 1e-17, float("nan"), -0.0, 1.0 - 1e-13]
@@ -209,6 +220,23 @@ class TestSweepTask:
         assert all(float(r["fidelity"]) > 0.9 for r in rows)
         assert all(float(r["seconds"]) >= 0.0 for r in rows)
         assert len(summary["rows"]) == 2
+
+    def test_parallel_rows_match_serial(self, tmp_path):
+        """Pool workers and the serial loop write the same rows: per-process
+        constants carry no state between sweep points."""
+        rows = {}
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}.csv"
+            run_experiment(ExperimentConfig(
+                task="sweep", scheme="resonant,dispersive", sweep_parameter="Omega_over_g",
+                sweep_start=0.09, sweep_stop=0.1, sweep_points=2,
+                output=str(out), workers=workers,
+            ))
+            _, columns, rows[workers] = read_csv(str(out))
+        assert len(rows[1]) == 4
+        for serial, parallel in zip(rows[1], rows[2]):
+            assert {c: serial[c] for c in columns if c != "seconds"} == \
+                {c: parallel[c] for c in columns if c != "seconds"}
 
     def test_kappa_sweep_ties_gamma(self, tmp_path):
         out = tmp_path / "ks.csv"

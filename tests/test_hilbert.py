@@ -75,6 +75,12 @@ class TestBuildSpace:
         with pytest.raises(ValueError):
             build_space(0)
 
+    def test_built_once_per_argument_pair(self, sector):
+        assert build_space(2, 2) is sector
+        assert build_space(fock_cap=2, sector_cap=2) is sector
+        assert build_space(2) is not sector
+        assert build_space(2, None) is build_space(2)
+
     def test_index_map_is_bijection(self, sector):
         assert sorted(sector.index_of.values()) == list(range(sector.dim))
         for lab, i in sector.index_of.items():

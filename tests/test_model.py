@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg as la
 import scipy.sparse as sp
 
-from cavityfredkin.hilbert import SparseOperator, build_space
+from cavityfredkin.hilbert import SparseOperator, atom_transition, build_space, cavity_lowering
 from cavityfredkin.model import (
     DISPERSIVE_BLOCK_LABELS,
     EFFECTIVE_RESONANT_LABELS,
@@ -69,6 +69,50 @@ class TestFullHamiltonian:
     def test_antisymmetric_drive_sign_convention(self, space):
         d = drive_terms(space, 1.0, -1.0)
         assert np.abs((d - antisymmetric_drive(space)).toarray()).max() == 0.0
+
+
+def term_by_term(space, omega1, omega3, J, g, delta):
+    """The Hamiltonian summed term by term from the elementary operators:
+    each drive, hop, exchange and detuning added on its own."""
+    h = SparseOperator.zero(space)
+    for i, om in ((1, omega1), (3, omega3)):
+        s = atom_transition(space, i, 1, 2)
+        h = h + om * (s + s.dag())
+    for k in (1, 2):
+        hop = cavity_lowering(space, k).dag() @ cavity_lowering(space, k + 1)
+        h = h + J * (hop + hop.dag())
+    for i in (1, 2, 3):
+        jc = atom_transition(space, i, 0, 2) @ cavity_lowering(space, i)
+        h = h + g * (jc + jc.dag())
+    for i in (1, 2, 3):
+        h = h + delta * atom_transition(space, i, 2, 2)
+    return h
+
+
+class TestUnitTerms:
+    """The Hamiltonian is weighted from unit terms built once per space."""
+
+    @pytest.mark.parametrize("caps", [(2, 2), (1, 1), (2, None)])
+    def test_bit_identical_to_term_by_term_sum(self, caps):
+        space = build_space(*caps)
+        rng = np.random.default_rng(20261019)
+        for _ in range(8):
+            omega1, omega3, J, g, delta = rng.standard_normal(5)
+            J, g, delta = abs(J), abs(g) + 0.1, abs(delta)
+            got = full_hamiltonian(space, PhysParams(g=g, J=J, delta=delta), omega1, omega3)
+            want = term_by_term(space, omega1, omega3, J, g, delta)
+            assert got.toarray().tobytes() == want.toarray().tobytes()
+            assert got.nnz == want.nnz
+
+    def test_returned_operators_are_fresh(self, space):
+        params = PhysParams.dispersive()
+        want = full_hamiltonian(space, params, 0.03, -0.03).toarray()
+        for make in (lambda: full_hamiltonian(space, params, 0.03, -0.03),
+                     lambda: antisymmetric_drive(space), lambda: jc_terms(space, 1.0)):
+            before = make().toarray()
+            make().matrix.data[:] = 7.0
+            assert np.array_equal(make().toarray(), before)
+        assert np.array_equal(full_hamiltonian(space, params, 0.03, -0.03).toarray(), want)
 
 
 class TestZenoSplit:

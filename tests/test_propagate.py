@@ -724,14 +724,16 @@ class TestMirrorSectors:
 
 class TestAmplitudeEvaluations:
     """The drive is evaluated once per distinct RK4 stage time: 2 n + 1
-    values for n steps, shared by every chain and input column."""
+    values for n steps, shared by every chain and input column.  The drive
+    takes arrays, so the evaluated times (the sum of the arrays' sizes) are
+    counted, not the calls."""
 
     @staticmethod
     def counting(sched):
         calls = []
 
         def amp(t):
-            calls.append(t)
+            calls.extend(np.ravel(t).tolist())
             return sched.amplitude(t)
 
         return amp, calls
@@ -760,6 +762,48 @@ class TestAmplitudeEvaluations:
         evolve_states_final(h, kets, 1.0, dt=0.01)
         probes = 257  # peak-amplitude scan of the dt precondition
         assert len(calls) == probes + 2 * 100 + 1
+
+    def test_one_call_per_scan(self, sector):
+        """One call on the 257 probes of the dt check, one on the stage times."""
+        sched = DriveSchedule.adiabatic(0.1)
+        sizes = []
+
+        def amp(t):
+            sizes.append(np.size(t))
+            return sched.amplitude(t)
+
+        h = DrivenOperator(static=full_hamiltonian(sector, PhysParams.resonant(), 0.0, 0.0),
+                           drive=antisymmetric_drive(sector), amplitude=amp)
+        evolve_states_final(h, qubit_embedding(sector, 6)[:, None], 1.0, dt=0.01)
+        assert sizes == [257, 2 * 100 + 1]
+
+    @pytest.mark.parametrize("omega", [0.05, 0.1, 0.0123])
+    def test_stage_times_match_scalar_accumulation(self, omega):
+        """The stage times are bit-identical to a scalar ``t += h`` loop, and
+        the vectorized pulse stays within 2 ulp of scalar calls (numpy's
+        array sin may round differently from its scalar one)."""
+        sched = DriveSchedule.adiabatic(omega)
+        n_steps = int(np.ceil(sched.total_time / 0.01))
+        h = sched.total_time / n_steps
+        want, t = [], 0.0
+        for _ in range(n_steps):
+            want += [t, t + h / 2]
+            t += h
+        want.append(t)
+        seen = []
+
+        def amp(times):
+            seen.append(np.array(times))
+            return sched.amplitude(times)
+
+        got = np.array(_amplitude_samples(amp, h, n_steps))
+        assert len(seen) == 1 and seen[0].tobytes() == np.array(want).tobytes()
+        scalar = np.array([sched.amplitude(t) for t in want])
+        assert np.all(np.abs(got - scalar) <= 2 * np.spacing(np.abs(scalar)))
+
+    def test_scalar_result_is_broadcast(self):
+        vals = _amplitude_samples(lambda t: 0.25, 0.1, 4)
+        assert vals == [0.25] * 9
 
 
 def rk4_reference(rate, y, h, n_steps, amps, steps):
