@@ -3,7 +3,8 @@
 A gate run defines a linear map eps on 8x8 register operators: embed, evolve
 for the gate time, reduce back to the register.  The map is stored through
 its action on the 64 matrix units E_mn = |m><n|, from which eps(A) follows
-for any A by linearity.  The figure of merit is
+for any A by linearity.  The decay rates choose the route: the 8 register
+kets without decay, the master equation with it.  The figure of merit is
 
     F_avg = [sum_j tr(U U_j^dag U^dag eps(U_j)) + d^2] / [d^2 (d + 1)]
 
@@ -27,23 +28,23 @@ from cavityfredkin.hilbert import (
     HilbertSpace,
     SparseOperator,
     build_space,
-    qubit_basis_index,
+    excitation_of,
     qubit_extraction,
+    register_indices,
+    register_label,
 )
 from cavityfredkin.model import PhysParams, antisymmetric_drive, full_hamiltonian
 from cavityfredkin.propagate import (
     DEFAULT_DT,
     DecayParams,
     DrivenOperator,
+    _step_count,
     evolve_density_final,
     evolve_states_final,
 )
 from cavityfredkin.pulses import DriveSchedule
 
 D = 8  # register dimension
-
-#: excitation weight of each register state (index q = 4 q2 + 2 q1 + q3)
-QUBIT_EXCITATION = (0, 1, 1, 2, 0, 1, 1, 2)
 
 IMAG_RESIDUE_TOL = 1e-8
 
@@ -113,14 +114,11 @@ class QuantumChannel:
     """Linear register map stored as the 64 evolved matrix-unit images.
 
     ``images[m, n]`` is eps(|m><n|); eps(A) for arbitrary A follows by
-    linearity via :meth:`apply`.
+    linearity.
     """
 
     images: np.ndarray  # (8, 8, 8, 8)
     metadata: dict = field(default_factory=dict)
-
-    def apply(self, a: np.ndarray) -> np.ndarray:
-        return np.einsum("mn,mnab->ab", np.asarray(a, dtype=complex), self.images)
 
     def choi_matrix(self) -> np.ndarray:
         """sum_mn |m><n| (x) eps(E_mn); positive for physical maps."""
@@ -141,19 +139,15 @@ def scheme_hamiltonian(
     )
 
 
-def _register_indices(space: HilbertSpace) -> list:
-    return [qubit_basis_index(space, q) for q in range(D)]
-
-
 def _oriented_pairs():
     """Matrix-unit orientations to evolve: one per unordered pair, chosen so
     the sector index never rises from row to column; the remaining images
     follow from eps(X^dag) = eps(X)^dag, which the Lindblad form preserves."""
+    weight = [excitation_of(register_label(q)) for q in range(D)]
     pairs = []
     for m in range(D):
         for n in range(D):
-            dm, dn = QUBIT_EXCITATION[m], QUBIT_EXCITATION[n]
-            if dm > dn or (dm == dn and m <= n):
+            if weight[m] > weight[n] or (weight[m] == weight[n] and m <= n):
                 pairs.append((m, n))
     return pairs
 
@@ -166,14 +160,14 @@ def reconstruct_channel(
     *,
     space: Optional[HilbertSpace] = None,
     dt: float = DEFAULT_DT,
-    method: str = "auto",
 ) -> QuantumChannel:
     """Evolve the register matrix units through a full gate run.
 
-    ``method``: 'density' integrates the 64 matrix units through the master
-    equation; 'state' propagates the 8 register kets and forms images as
-    outer products (valid only without decay, and agreeing with the density
-    route to 1e-8); 'auto' picks 'state' when kappa = gamma = 0.
+    The decay rates choose the route, recorded as ``metadata["method"]``:
+    'state' (kappa = gamma = 0) propagates the 8 register kets and takes
+    outer products; 'density' integrates the matrix units through the
+    master equation.  The routes agree to 1e-8 without decay.
+    ``metadata["dt"]`` and ``["n_steps"]`` are the steps the run took.
     """
     if scheme not in ("resonant", "dispersive"):
         raise ValueError(f"scheme must be 'resonant' or 'dispersive', got {scheme!r}")
@@ -181,23 +175,22 @@ def reconstruct_channel(
         raise ValueError("resonant scheme requires delta = 0")
     if scheme == "dispersive" and params.delta == 0.0:
         raise ValueError("dispersive scheme requires a nonzero detuning")
-    if method not in ("auto", "state", "density"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "state" and decay.dissipative:
-        raise ValueError("the state fast path requires kappa = gamma = 0")
-    if method == "auto":
-        method = "density" if decay.dissipative else "state"
 
     if space is None:
         space = build_space(fock_cap=2, sector_cap=2)
     h = scheme_hamiltonian(space, params, schedule)
     t_gate = schedule.total_time
-    reg = _register_indices(space)
+    reg = register_indices(space)
     pairs = _oriented_pairs()
     t0 = time.perf_counter()
 
     extra = {}
-    if method == "state":
+    if decay.dissipative:
+        units = np.zeros((len(pairs), space.dim, space.dim), dtype=complex)
+        for k, (m, n) in enumerate(pairs):
+            units[k, reg[m], reg[n]] = 1.0
+        outs = evolve_density_final(h, decay, units, t_gate, dt=dt)
+    else:
         kets = np.zeros((space.dim, D), dtype=complex)
         kets[reg, range(D)] = 1.0
         finals = evolve_states_final(h, kets, t_gate, dt=dt).T
@@ -205,11 +198,6 @@ def reconstruct_channel(
         # eps(|m><n|) before the read-out: |psi_m><psi_n| of the final kets
         outs = finals[m][:, :, None] * finals[n].conj()[:, None, :]
         extra = {"qubit_matrix": finals[:, reg].T}
-    else:
-        units = np.zeros((len(pairs), space.dim, space.dim), dtype=complex)
-        for k, (m, n) in enumerate(pairs):
-            units[k, reg[m], reg[n]] = 1.0
-        outs = evolve_density_final(h, decay, units, t_gate, dt=dt)
 
     images = np.zeros((D, D, D, D), dtype=complex)
     for (m, n), image in zip(pairs, qubit_extraction(space, outs)):
@@ -221,6 +209,7 @@ def reconstruct_channel(
     trace_drift = float(np.max(np.abs(traces.real - 1.0) + np.abs(traces.imag)))
     # leakage: population that left the register states, summed state by state
     leakage = float(1.0 - np.mean(sum(diag[:, i, i].real for i in reg)))
+    n_steps = _step_count(t_gate, dt)
 
     return QuantumChannel(
         images=images,
@@ -230,8 +219,9 @@ def reconstruct_channel(
             "schedule": schedule,
             "decay": decay,
             "gate_time": t_gate,
-            "dt": dt,
-            "method": method,
+            "dt": t_gate / n_steps,
+            "n_steps": n_steps,
+            "method": "density" if decay.dissipative else "state",
             "leakage": leakage,
             "trace_drift": trace_drift,
             "seconds": time.perf_counter() - t0,

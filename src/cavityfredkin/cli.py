@@ -26,7 +26,7 @@ from cavityfredkin.channel import (
     reconstruct_channel,
     scheme_hamiltonian,
 )
-from cavityfredkin.hilbert import build_space, qubit_embedding
+from cavityfredkin.hilbert import build_space, qubit_embedding, register_label
 from cavityfredkin.model import PhysParams
 from cavityfredkin.propagate import (
     DecayParams,
@@ -293,8 +293,7 @@ def run_populations(cfg: ExperimentConfig) -> dict:
     space = build_space(cfg.fock_cap, cfg.sector_cap)
     h = scheme_hamiltonian(space, params, schedule)
 
-    qubit_atoms = ["".join("01"[b] for b in ((q >> 1) & 1, (q >> 2) & 1, q & 1))
-                   for q in range(8)]
+    qubit_atoms = ["".join("01"[a] for a in register_label(q)[:3]) for q in range(8)]
     targets = [(a, "000") for a in qubit_atoms]
     # the extension of the file name only: a dot in a directory name is not one
     stem, ext = os.path.splitext(cfg.output)

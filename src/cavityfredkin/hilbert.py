@@ -28,8 +28,8 @@ import scipy.sparse as sp
 
 Label = tuple  # (a1, a2, a3, n1, n2, n3)
 
-#: atomic level indices
-LEVEL_0, LEVEL_1, LEVEL_E = 0, 1, 2
+#: atomic level index of |e>
+LEVEL_E = 2
 
 ATOM_LEVELS = ("0", "1", "e")
 
@@ -67,7 +67,6 @@ class HilbertSpace:
     sector_cap: Optional[int]
     basis: tuple
     index_of: dict = field(repr=False)
-    atom_levels: tuple = ATOM_LEVELS
 
     @property
     def dim(self) -> int:
@@ -179,10 +178,6 @@ class SparseOperator:
     @classmethod
     def zero(cls, space):
         return cls(space, sp.csr_matrix((space.dim, space.dim), dtype=complex))
-
-    @classmethod
-    def identity(cls, space):
-        return cls(space, sp.identity(space.dim, format="csr", dtype=complex))
 
     # -- views ---------------------------------------------------------
     @property
@@ -329,17 +324,28 @@ def excitation_counter(space: HilbertSpace) -> SparseOperator:
     )
 
 
-def qubit_basis_index(space: HilbertSpace, q: int) -> int:
-    """Dense index of the register state q with all cavities in vacuum.
+def register_label(q: int) -> Label:
+    """Basis label of register state q: atoms in |0>/|1>, cavities in vacuum.
 
     q encodes (q2, q1, q3) as q = 4*q2 + 2*q1 + q3: the control (atom 2)
     is the most significant bit, so the ideal gate matrix is the literal
-    controlled-SWAP permutation.
+    controlled-SWAP permutation.  This is the only statement of that order;
+    every other register index is read through this function.
     """
     if not 0 <= q <= 7:
         raise ValueError(f"qubit index must be 0..7, got {q}")
     q2, q1, q3 = (q >> 2) & 1, (q >> 1) & 1, q & 1
-    return space.index_of[(q1, q2, q3, 0, 0, 0)]
+    return (q1, q2, q3, 0, 0, 0)
+
+
+def qubit_basis_index(space: HilbertSpace, q: int) -> int:
+    """Dense index of the register state q (:func:`register_label`)."""
+    return space.index_of[register_label(q)]
+
+
+def register_indices(space: HilbertSpace) -> list:
+    """Dense indices of the 8 register states, in register order."""
+    return [qubit_basis_index(space, q) for q in range(8)]
 
 
 def qubit_embedding(space: HilbertSpace, q: int) -> np.ndarray:
@@ -352,13 +358,12 @@ def _qubit_groups(space: HilbertSpace):
 
     Yields (qubit indices, basis indices) per cavity photon pattern.
     """
+    register = {register_label(q)[:3]: q for q in range(8)}
     groups: dict = {}
     for i, lab in enumerate(space.basis):
-        a1, a2, a3 = lab[:3]
-        if a1 == LEVEL_E or a2 == LEVEL_E or a3 == LEVEL_E:
-            continue
-        q = 4 * a2 + 2 * a1 + a3
-        groups.setdefault(lab[3:], []).append((q, i))
+        q = register.get(lab[:3])
+        if q is not None:
+            groups.setdefault(lab[3:], []).append((q, i))
     for pairs in groups.values():
         qs = np.array([p[0] for p in pairs])
         idx = np.array([p[1] for p in pairs])
@@ -372,7 +377,7 @@ def qubit_extraction(
 
     Partial trace over the three cavity modes, then restriction of each atom
     to span{|0>, |1>} (rows/columns involving |e> are discarded), reindexed
-    to the control-first ordering q = 4*q2 + 2*q1 + q3.  Trace-decreasing
+    to the register order of :func:`register_label`.  Trace-decreasing
     whenever population sits in |e> levels.  A (..., dim, dim) stack is
     reduced matrix by matrix to (..., 8, 8).
     """

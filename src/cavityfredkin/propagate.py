@@ -802,41 +802,38 @@ def _real_part(m: sp.spmatrix) -> Optional[sp.csr_matrix]:
     return real
 
 
-def _real_form(block: sp.spmatrix, basis: sp.csr_matrix) -> sp.csr_matrix:
-    """basis @ block @ basis^dag as a real CSR matrix.
-
-    Raises if the imaginary part exceeds 1e-12 of the largest entry, i.e.
-    when the generator does not preserve Hermiticity.
-    """
-    real = _real_part(basis @ block @ basis.conj().T)
-    if real is None:
-        raise ValueError("generator is not Hermiticity-preserving: imaginary part above "
-                         f"{_REAL_FORM_TOL:g} of its largest entry in its real-coordinate form")
-    return real
+def _real_coordinates(block: dict, basis: sp.csr_matrix, sector: np.ndarray) -> Optional[dict]:
+    """``block`` in the coordinates basis @ y: ``l0`` and ``ld`` replaced by
+    the real forms of basis @ L @ basis^dag, split by :func:`_sector_split`,
+    with ``basis``, ``back`` = basis^dag and the resulting ``sector``.  None
+    when a form has an imaginary part above 1e-12 of its largest entry."""
+    forms = [None if m is None else _real_part(basis @ m @ basis.conj().T)
+             for m in (block["l0"], block["ld"])]
+    if forms[0] is None or (block["ld"] is not None and forms[1] is None):
+        return None
+    sector = _sector_split([m for m in forms if m is not None], sector)
+    return {**block, "l0": forms[0], "ld": forms[1], "basis": basis,
+            "back": basis.conj().T.tocsr(), "sector": sector}
 
 
 def _chiral_gauge(block: dict, expo: np.ndarray) -> dict:
     """``block`` in the coordinates conj(p) y, p = i^expo, when that makes
-    its ``l0`` and ``ld`` real: with ``basis`` diag(conj p), ``back``
-    diag(p), one sector and the real forms of ``l0`` and ``ld``.  Otherwise
-    (e.g. Delta != 0) ``block`` as it is.
+    its ``l0`` and ``ld`` real: :func:`_real_coordinates` with ``basis``
+    diag(conj p) and one sector.  Otherwise (e.g. Delta != 0) ``block`` as
+    it is.
 
     The gauge multiplies entry (r, c) by i^(expo[c] - expo[r]); an entry
     whose exponents differ by one becomes real when it is imaginary.  The
     diagonal is unchanged, so an imaginary diagonal rejects the block before
     anything is built.
     """
-    l0, ld = block["l0"], block["ld"]
+    l0 = block["l0"]
     diag = l0.diagonal()
     if np.abs(diag.imag).max(initial=0.0) > _REAL_FORM_TOL * np.abs(l0.data).max(initial=0.0):
         return block
     phase = np.array([1.0, 1j, -1.0, -1j])[expo % 4]
-    basis = sp.diags(phase.conj(), format="csr")
-    forms = [None if m is None else _real_part(basis @ m @ basis.conj().T) for m in (l0, ld)]
-    if forms[0] is None or (ld is not None and forms[1] is None):
-        return block
-    return {**block, "l0": forms[0], "ld": forms[1], "basis": basis,
-            "back": sp.diags(phase, format="csr"), "sector": np.ones(len(expo))}
+    gauged = _real_coordinates(block, sp.diags(phase.conj(), format="csr"), np.ones(len(expo)))
+    return block if gauged is None else gauged
 
 
 def _closure_groups(l0: sp.spmatrix, ld: Optional[sp.spmatrix], x: np.ndarray) -> list:
@@ -920,12 +917,11 @@ class LindbladGenerator:
                      "ld": ld[idx][:, idx].tocsr() if ld is not None else None,
                      "basis": None, "back": None, "sector": None}
             if d == 0:
-                basis, sector = _mirror_sectors(idx, dim, *mirror_map(space))
-                c0 = _real_form(chain["l0"], basis)
-                cd = _real_form(chain["ld"], basis) if ld is not None else None
-                sector = _sector_split([c0] if cd is None else [c0, cd], sector)
-                chain.update(l0=c0, ld=cd, basis=basis, back=basis.conj().T.tocsr(),
-                             sector=sector)
+                chain = _real_coordinates(chain, *_mirror_sectors(idx, dim, *mirror_map(space)))
+                if chain is None:
+                    raise ValueError(
+                        "generator is not Hermiticity-preserving: imaginary part above "
+                        f"{_REAL_FORM_TOL:g} of its largest entry in its real-coordinate form")
             else:
                 rows, cols = np.divmod(idx, dim)
                 chain = _chiral_gauge(chain, parity[rows] - parity[cols])

@@ -33,7 +33,7 @@ def adiabatic_amplitude(omega_max: float, t: float) -> float:
     starts and ends at zero and its area satisfies the swap condition
     exactly for every Omega_max.
     """
-    if (t < 0) if np.isscalar(t) else np.any(np.asarray(t) < 0):
+    if np.any(np.asarray(t) < 0):
         raise ValueError("t must be >= 0")
     return 2.0 * omega_max * np.sin(np.sqrt(2.0 / 3.0) * omega_max * t) ** 2
 

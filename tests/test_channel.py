@@ -5,6 +5,7 @@ import scipy.linalg as la
 from cavityfredkin.channel import (
     IdealGate,
     QuantumChannel,
+    _oriented_pairs,
     average_fidelity_from_kets,
     average_gate_fidelity,
     fredkin_ideal,
@@ -12,12 +13,13 @@ from cavityfredkin.channel import (
     reconstruct_channel,
     scheme_hamiltonian,
 )
-from cavityfredkin.hilbert import build_space, qubit_basis_index
+from cavityfredkin.hilbert import build_space, qubit_basis_index, qubit_extraction
 from cavityfredkin.model import PhysParams
 from cavityfredkin.propagate import (
     DecayParams,
     IntegrationError,
     evolve_density_final,
+    evolve_states,
     evolve_states_final,
 )
 from cavityfredkin.hilbert import SparseOperator
@@ -173,15 +175,45 @@ class TestReconstructChannel:
         assert abs(f18 - fpro) < 1e-8
 
     def test_state_and_density_paths_agree(self, sector):
+        # without decay the channel takes the ket route; the density route's
+        # images come from the master equation on the 36 oriented matrix units
         params = PhysParams.resonant()
         sched = DriveSchedule.adiabatic(0.1)
-        ch_s = reconstruct_channel(
-            "resonant", params, sched, DecayParams(), space=sector, method="state"
-        )
-        ch_d = reconstruct_channel(
-            "resonant", params, sched, DecayParams(), space=sector, method="density"
-        )
-        assert np.abs(ch_s.images - ch_d.images).max() < 1e-8
+        ch_s = reconstruct_channel("resonant", params, sched, DecayParams(), space=sector)
+        assert ch_s.metadata["method"] == "state"
+        reg = [qubit_basis_index(sector, q) for q in range(8)]
+        pairs = _oriented_pairs()
+        units = np.zeros((len(pairs), sector.dim, sector.dim), dtype=complex)
+        for k, (m, n) in enumerate(pairs):
+            units[k, reg[m], reg[n]] = 1.0
+        outs = evolve_density_final(scheme_hamiltonian(sector, params, sched), DecayParams(),
+                                    units, sched.total_time)
+        m, n = np.array(pairs).T
+        assert np.abs(ch_s.images[m, n] - qubit_extraction(sector, outs)).max() < 1e-8
+
+    @pytest.mark.parametrize("decay, method", [
+        (DecayParams(), "state"),
+        (DecayParams(kappa=0.01), "density"),
+        (DecayParams(gamma=0.01), "density"),
+    ])
+    def test_route_follows_decay_rates(self, sector, decay, method):
+        ch = reconstruct_channel("resonant", PhysParams.resonant(), DriveSchedule.adiabatic(0.1),
+                                 decay, space=sector)
+        assert ch.metadata["method"] == method
+        assert ("qubit_matrix" in ch.metadata) == (method == "state")
+
+    @pytest.mark.parametrize("dt", [0.01, 0.0073])
+    def test_metadata_records_the_step_used(self, sector, dt):
+        # 76.953 / 0.01 is not whole: the run takes 7696 steps of 0.0099991
+        params, sched = PhysParams.resonant(), DriveSchedule.adiabatic(0.05)
+        ch = reconstruct_channel("resonant", params, sched, DecayParams(), space=sector, dt=dt)
+        kets = np.zeros((sector.dim, 1), dtype=complex)
+        kets[qubit_basis_index(sector, 0), 0] = 1.0
+        (traj,) = evolve_states(scheme_hamiltonian(sector, params, sched), kets,
+                                sched.total_time, dt=dt)
+        assert ch.metadata["n_steps"] == traj.metadata["n_steps"]
+        assert ch.metadata["dt"] == traj.metadata["dt"]
+        assert ch.metadata["dt"] * ch.metadata["n_steps"] == pytest.approx(sched.total_time)
 
     def test_jump_operators_spare_the_register(self, sector):
         # embedded register states host no photons and no |e>: pure decay
@@ -231,14 +263,6 @@ class TestReconstructChannel:
         with pytest.raises(ValueError, match="delta"):
             reconstruct_channel(
                 "resonant", PhysParams.dispersive(), DriveSchedule.adiabatic(0.05), DecayParams()
-            )
-        with pytest.raises(ValueError, match="fast path"):
-            reconstruct_channel(
-                "resonant",
-                PhysParams.resonant(),
-                DriveSchedule.adiabatic(0.05),
-                DecayParams(kappa=0.01),
-                method="state",
             )
 
 

@@ -15,6 +15,8 @@ from cavityfredkin.hilbert import (
     qubit_basis_index,
     qubit_embedding,
     qubit_extraction,
+    register_indices,
+    register_label,
 )
 from cavityfredkin.model import PhysParams, full_hamiltonian
 from cavityfredkin.propagate import DecayParams, jump_operators
@@ -194,6 +196,23 @@ class TestQubitEmbedding:
     def test_rejects_out_of_range(self, sector, q):
         with pytest.raises(ValueError):
             qubit_embedding(sector, q)
+
+    def test_register_excitations(self, sector):
+        assert sector.excitations[register_indices(sector)].tolist() == [0, 1, 1, 2, 0, 1, 1, 2]
+
+    @pytest.mark.parametrize("q", range(8))
+    def test_label_maps_back_to_q(self, full, q):
+        """The register read-out inverts the label: q = 4*a2 + 2*a1 + a3, and
+        the extraction puts a register state, with or without a photon, on
+        the diagonal entry q."""
+        lab = register_label(q)
+        a1, a2, a3 = lab[:3]
+        assert 4 * a2 + 2 * a1 + a3 == q and lab[3:] == (0, 0, 0)
+        for photons in [(0, 0, 0), (0, 1, 0)]:
+            v = full.basis_vector(full.index_of[lab[:3] + photons])
+            expected = np.zeros((8, 8))
+            expected[q, q] = 1.0
+            assert np.array_equal(qubit_extraction(full, np.outer(v, v)), expected)
 
 
 class TestQubitExtraction:

@@ -91,9 +91,10 @@ def expm_density(space, h, decay, rho0, t_final):
 def matrix_units(space):
     """The 36 oriented register matrix units that channel reconstruction
     evolves, as a (36, dim, dim) stack."""
-    from cavityfredkin.channel import _oriented_pairs, _register_indices
+    from cavityfredkin.channel import _oriented_pairs
+    from cavityfredkin.hilbert import register_indices
 
-    reg = _register_indices(space)
+    reg = register_indices(space)
     pairs = _oriented_pairs()
     units = np.zeros((len(pairs), space.dim, space.dim), dtype=complex)
     for k, (m, n) in enumerate(pairs):
@@ -625,11 +626,11 @@ class TestClosurePruning:
             assert sorted(grouped) == np.flatnonzero(np.any(x, axis=0)).tolist()
 
     def test_dark_unit_has_closure_of_size_one(self, sector):
-        from cavityfredkin.channel import _register_indices
+        from cavityfredkin.hilbert import register_indices
 
         gen, _, _ = lossy_generator(sector, "stepped", DECAYS["both"])
         dark = np.zeros((1, sector.dim, sector.dim), dtype=complex)
-        q0 = _register_indices(sector)[0]
+        q0 = register_indices(sector)[0]
         assert sector.basis[q0] == sector.basis[sector.state_index("000", "000")]
         dark[0, q0, q0] = 1.0
         (chain,) = [c for c in gen.chains if c["delta"] == 0]
