@@ -38,7 +38,6 @@ from cavityfredkin.propagate import (
     DEFAULT_DT,
     DecayParams,
     DrivenOperator,
-    _step_count,
     evolve_density_final,
     evolve_states_final,
 )
@@ -167,7 +166,9 @@ def reconstruct_channel(
     'state' (kappa = gamma = 0) propagates the 8 register kets and takes
     outer products; 'density' integrates the matrix units through the
     master equation.  The routes agree to 1e-8 without decay.
-    ``metadata["dt"]`` and ``["n_steps"]`` are the steps the run took.
+    ``metadata["dt"]`` and ``["n_steps"]`` are the step and step count the
+    run reports in the metadata of :func:`evolve_states_final` or
+    :func:`evolve_density_final`.
     """
     if scheme not in ("resonant", "dispersive"):
         raise ValueError(f"scheme must be 'resonant' or 'dispersive', got {scheme!r}")
@@ -189,11 +190,12 @@ def reconstruct_channel(
         units = np.zeros((len(pairs), space.dim, space.dim), dtype=complex)
         for k, (m, n) in enumerate(pairs):
             units[k, reg[m], reg[n]] = 1.0
-        outs = evolve_density_final(h, decay, units, t_gate, dt=dt)
+        outs, run = evolve_density_final(h, decay, units, t_gate, dt=dt)
     else:
         kets = np.zeros((space.dim, D), dtype=complex)
         kets[reg, range(D)] = 1.0
-        finals = evolve_states_final(h, kets, t_gate, dt=dt).T
+        finals, run = evolve_states_final(h, kets, t_gate, dt=dt)
+        finals = finals.T
         m, n = np.array(pairs).T
         # eps(|m><n|) before the read-out: |psi_m><psi_n| of the final kets
         outs = finals[m][:, :, None] * finals[n].conj()[:, None, :]
@@ -209,7 +211,6 @@ def reconstruct_channel(
     trace_drift = float(np.max(np.abs(traces.real - 1.0) + np.abs(traces.imag)))
     # leakage: population that left the register states, summed state by state
     leakage = float(1.0 - np.mean(sum(diag[:, i, i].real for i in reg)))
-    n_steps = _step_count(t_gate, dt)
 
     return QuantumChannel(
         images=images,
@@ -219,8 +220,8 @@ def reconstruct_channel(
             "schedule": schedule,
             "decay": decay,
             "gate_time": t_gate,
-            "dt": t_gate / n_steps,
-            "n_steps": n_steps,
+            "dt": run["dt"],
+            "n_steps": run["n_steps"],
             "method": "density" if decay.dissipative else "state",
             "leakage": leakage,
             "trace_drift": trace_drift,

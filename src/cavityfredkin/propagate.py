@@ -5,8 +5,23 @@ t+dt), preserving 4th-order accuracy for smooth pulses.  A drive callable
 takes an array of times: a run evaluates it on all 2 n + 1 stage times in
 one call (:func:`_amplitude_samples`).  The default step
 dt = 0.01/g resolves the fastest frequency scale (~sqrt(3) g) comfortably;
-callers may pass a smaller step, and every entry point enforces
-dt <= 0.05 / ||H||.
+callers may pass a smaller step.
+
+The entries are :func:`evolve_states` and :func:`evolve_densities` (one
+:class:`Trajectory` per input, sampled at ``n_samples`` steps; the density
+ones lazily), their final-state forms :func:`evolve_states_final` and
+:func:`evolve_density_final` (the final stack and a metadata dict), and
+the single-input :func:`evolve_state` and :func:`evolve_density`.  All run
+one path, :func:`_run`, which checks dt once, counts the steps once and
+reports each run in one dict with the same keys for kets and densities:
+``dt`` (the step used, T / n_steps), ``n_steps`` and ``drift``, the final
+norm or trace drift of each input; ``Trajectory.metadata`` adds ``space``.
+The dt rule (:func:`_check_dt`) is dt <= 0.05 / ||H||, and under a master
+equation also dt * sum_c r_c ||c^dag c|| <= 2.785 over the jump operators,
+RK4's stability interval on the negative real axis: a run that would
+overflow is rejected before its first step.  The ``_final`` and
+single-input names stay because the benchmark's tracer
+(``gatebench/tracing.py``) wraps them by name.
 
 Density dynamics run on the excitation-sector decomposition of the operator
 space: the Lindblad generator conserves delta = C(row) - C(col) and never
@@ -107,7 +122,8 @@ nonzeros per stage (instead of 188 nonzeros times 8 columns); its composed
 step map has 1 235 nonzeros, so it takes the map loop, while the lossy
 resonant channel's system (265 427 map nonzeros) keeps the stage loop.  The
 step count (:func:`_step_count`) and the abort rule on non-finite output
-and on norm or trace drift (:func:`_check_drift`) each live in one helper.
+and on norm or trace drift (:func:`_check_drift`) each live in one helper,
+called once per run.
 """
 
 from __future__ import annotations
@@ -163,6 +179,10 @@ _SERIAL_GEMM = 2**18
 #: largest imaginary part, relative to the largest entry, tolerated in the
 #: real-coordinate form of the delta = 0 chain generator
 _REAL_FORM_TOL = 1e-12
+
+#: RK4's stability interval on the negative real axis: the step polynomial
+#: 1 + z + z^2/2 + z^3/6 + z^4/24 has modulus at most 1 for -2.7853 <= z <= 0
+_RK4_REAL_LIMIT = 2.785
 
 
 class IntegrationError(RuntimeError):
@@ -246,25 +266,31 @@ def _spectral_norm(op: SparseOperator) -> float:
                 for idx in (np.flatnonzero(c == v) for v in np.unique(c))), default=0.0)
 
 
-def _peak_amplitude(amp: Callable, t_final: float) -> float:
-    """Largest |a(t)| on 257 probes over [0, t_final], in one call of ``amp``."""
-    return float(np.abs(amp(np.linspace(0.0, t_final, 257))).max())
-
-
 def _hamiltonian_scale(static, drive, amp, t_final) -> float:
+    """||H0|| plus ||Hd|| times the largest |a(t)| on 257 probes over
+    [0, t_final], from one call of ``amp``."""
     scale = _spectral_norm(static)
     if drive is not None:
-        scale += _peak_amplitude(amp, t_final) * _spectral_norm(drive)
+        scale += float(np.abs(amp(np.linspace(0.0, t_final, 257))).max()) * _spectral_norm(drive)
     return scale
 
 
-def _check_dt(dt: float, hscale: float):
+def _check_dt(dt: float, hscale: float, gen: Optional["LindbladGenerator"] = None):
+    """The dt rule of every run: dt <= 0.05 / ||H||, and under a master
+    equation dt * ``gen.decay_scale`` <= ``_RK4_REAL_LIMIT``, so that no
+    decay mode leaves RK4's stability interval on the negative real axis."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     if hscale > 0 and dt > 0.05 / hscale:
         raise ValueError(
             f"dt = {dt:g} too large for Hamiltonian scale {hscale:.3g}; "
             f"need dt <= {0.05 / hscale:.3g}"
+        )
+    if gen is not None and dt * gen.decay_scale > _RK4_REAL_LIMIT:
+        raise ValueError(
+            f"dt = {dt:g} too large for decay scale {gen.decay_scale:.3g} (kappa = "
+            f"{gen.decay.kappa:g}, gamma = {gen.decay.gamma:g}); "
+            f"need dt <= {_RK4_REAL_LIMIT / gen.decay_scale:.3g}"
         )
 
 
@@ -586,103 +612,6 @@ def _propagate(blocks: Sequence[dict], x: np.ndarray, t_final: float, n_steps: i
 
 
 # ---------------------------------------------------------------------------
-# state propagation
-# ---------------------------------------------------------------------------
-
-def _evolve_kets(h, kets, t_final, dt, n_samples=None):
-    """Propagate a (dim, n) ket stack as one block, A = -i H0 and B = -i Hd.
-
-    Returns the (samples, dim, n) output, the sample steps (None without
-    ``n_samples``: final state only), the step count and the final norm
-    drift per column.
-    """
-    static, drive, amp = _parts(h)
-    _check_dt(dt, _hamiltonian_scale(static, drive, amp, t_final))
-    block = _chiral_gauge({"idx": np.arange(static.space.dim), "l0": (-1j * static.matrix).tocsr(),
-                           "ld": None if drive is None else (-1j * drive.matrix).tocsr()},
-                          chiral_parity(static.space))
-    n_steps = _step_count(t_final, dt)
-    steps = None if n_samples is None else _sample_steps(n_steps, n_samples)
-    out = _propagate([block], np.asarray(kets, dtype=complex), t_final, n_steps, steps, amp)
-    # squared norms per (sample, column) without a temporary of the stack's size
-    parts = out.view(np.float64)  # real and imaginary parts interleaved
-    sq = np.einsum("sdk,sdk->sk", parts, parts)
-    drift = _check_drift("norm", out, np.sqrt(sq[:, 0::2] + sq[:, 1::2]), 1.0, t_final / n_steps)
-    return out, steps, n_steps, drift
-
-
-def evolve_state(
-    h: Union[SparseOperator, DrivenOperator],
-    psi0: np.ndarray,
-    t_final: float,
-    dt: float = DEFAULT_DT,
-    n_samples: int = DEFAULT_SAMPLES,
-) -> Trajectory:
-    """Propagate a unit-norm state vector under i dpsi/dt = H(t) psi.
-
-    Aborts with :class:`IntegrationError` if the norm drifts by more than
-    1e-4 at any sample; a healthy run keeps the final norm within 1e-6 of 1.
-    """
-    dim = _parts(h)[0].space.dim
-    psi0 = np.asarray(psi0, dtype=complex)
-    if psi0.shape != (dim,):
-        raise ValueError(f"psi0 must have shape ({dim},)")
-    if abs(np.linalg.norm(psi0) - 1.0) > 1e-8:
-        raise ValueError("psi0 must be normalized")
-    return evolve_states(h, psi0[:, None], t_final, dt, n_samples)[0]
-
-
-def evolve_states(
-    h: Union[SparseOperator, DrivenOperator],
-    kets: np.ndarray,
-    t_final: float,
-    dt: float = DEFAULT_DT,
-    n_samples: int = DEFAULT_SAMPLES,
-) -> list:
-    """Propagate a (dim, n) stack of unit-norm kets in one integration.
-
-    Returns one :class:`Trajectory` per column, each as :func:`evolve_state`
-    returns it for that column alone.  Aborts with :class:`IntegrationError`
-    if the norm of any column drifts by more than 1e-4 at any sample.
-    """
-    space = _parts(h)[0].space
-    kets = np.asarray(kets, dtype=complex)
-    if kets.ndim != 2 or kets.shape[0] != space.dim:
-        raise ValueError(f"kets must have shape ({space.dim}, n)")
-    if np.abs(np.linalg.norm(kets, axis=0) - 1.0).max() > 1e-8:
-        raise ValueError("every ket must be normalized")
-    states, steps, n_steps, drift = _evolve_kets(h, kets, t_final, dt, n_samples)
-    dt_eff = t_final / n_steps
-    return [
-        Trajectory(
-            times=steps * dt_eff,
-            states=states[:, :, j],
-            metadata={
-                "space": space,
-                "dt": dt_eff,
-                "n_steps": n_steps,
-                "final_norm_drift": float(drift[j]),
-            },
-        )
-        for j in range(kets.shape[1])
-    ]
-
-
-def evolve_states_final(
-    h: Union[SparseOperator, DrivenOperator],
-    kets: np.ndarray,
-    t_final: float,
-    dt: float = DEFAULT_DT,
-) -> np.ndarray:
-    """Final states of a (dim, n) stack of kets, no intermediate samples.
-
-    For a time-independent Hamiltonian the fixed linear RK4 step is applied
-    by binary powering.
-    """
-    return _evolve_kets(h, kets, t_final, dt)[0][0]
-
-
-# ---------------------------------------------------------------------------
 # Lindblad generator on sector chains
 # ---------------------------------------------------------------------------
 
@@ -705,17 +634,22 @@ def _commutator_superop(h: sp.spmatrix, ident: sp.spmatrix) -> sp.spmatrix:
     return (-1j * (sp.kron(h, ident) - sp.kron(ident, h.T))).tocsr()
 
 
-def _dissipator_superop(jumps, ident) -> sp.spmatrix:
+def _dissipator_superop(jumps, ident) -> tuple:
+    """The dissipator of ``jumps`` and its decay scale sum_r r ||c^dag c||,
+    each norm bounded by the largest absolute row sum of c^dag c (equal to
+    it for the diagonal c^dag c of :func:`jump_operators`)."""
     dim2 = ident.shape[0] ** 2
     ld = sp.csr_matrix((dim2, dim2), dtype=complex)
+    scale = 0.0
     for rate, c in jumps:
         cm = c.matrix
         cdc = (cm.conj().T @ cm).tocsr()
+        scale += rate * float(abs(cdc).sum(axis=1).max())
         ld = ld + rate * (
             sp.kron(cm, cm.conj())
             - 0.5 * (sp.kron(cdc, ident) + sp.kron(ident, cdc.T))
         )
-    return ld.tocsr()
+    return ld.tocsr(), scale
 
 
 def _hermitian_basis(idx: np.ndarray, dim: int) -> sp.csr_matrix:
@@ -899,12 +833,15 @@ class LindbladGenerator:
         self.decay = decay
         self.amplitude = amplitude
         self.drive = drive
+        #: sum_r r ||c^dag c|| over the jump operators, for :func:`_check_dt`
+        self.decay_scale = 0.0
         dim = space.dim
         ident = sp.identity(dim, format="csr", dtype=complex)
         l0 = _commutator_superop(static.matrix, ident)
         jumps = jump_operators(space, decay)
         if jumps:
-            l0 = (l0 + _dissipator_superop(jumps, ident)).tocsr()
+            dissipator, self.decay_scale = _dissipator_superop(jumps, ident)
+            l0 = (l0 + dissipator).tocsr()
         ld = _commutator_superop(drive.matrix, ident) if drive is not None else None
 
         cvals = space.excitations
@@ -939,16 +876,19 @@ class LindbladGenerator:
         dt: float = DEFAULT_DT,
         sample_steps: Optional[Sequence[int]] = None,
         n_steps: Optional[int] = None,
-    ) -> np.ndarray:
+    ) -> tuple:
         """Propagate a (n, dim, dim) stack; returns the (samples, n, dim, dim)
-        array of sampled stacks ((samples, dim, dim) for one (dim, dim) input).
+        array of sampled stacks ((samples, dim, dim) for one (dim, dim) input)
+        and the final trace drift of each input.
 
         ``sample_steps`` indexes the requested RK4 steps (0 = initial state);
         when None only the final state is returned, and a time-independent
-        generator is applied by repeated squaring of the one-step map.  The
+        generator is applied by repeated squaring of the one-step map.
+        ``n_steps`` defaults to :func:`_step_count` of ``dt``.  The
         chains are the blocks of :func:`_propagate`.  Non-finite output, or
         a trace of any input drifting by more than 1e-4, aborts with
-        :class:`IntegrationError`.
+        :class:`IntegrationError`.  There is no dt check here: the entries
+        make it (:func:`_check_dt`).
         """
         dim = self.space.dim
         rhos = np.asarray(rhos, dtype=complex)
@@ -963,11 +903,123 @@ class LindbladGenerator:
         out = _propagate(self.chains, vecd, t_final, n_steps, steps,
                          None if self.is_constant else self.amplitude)
         # the diagonal of rho sits at every (dim + 1)-th vec index
-        _check_drift("trace", out, out[:, :: dim + 1].sum(axis=1), vecd[:: dim + 1].sum(axis=0),
-                     t_final / n_steps, self.decay)
+        drift = _check_drift("trace", out, out[:, :: dim + 1].sum(axis=1),
+                             vecd[:: dim + 1].sum(axis=0), t_final / n_steps, self.decay)
         # a view: ``out`` holds each vec index's samples in one row
         result = out.transpose(0, 2, 1).reshape(len(out), n, dim, dim)
-        return result[:, 0] if squeeze else result
+        return (result[:, 0] if squeeze else result), drift
+
+
+# ---------------------------------------------------------------------------
+# the run path and its entries
+# ---------------------------------------------------------------------------
+
+def _run(h, decay: Optional[DecayParams], batches, t_final: float, dt: float,
+         n_samples: Optional[int]):
+    """The one run path behind every propagation entry.
+
+    Builds the one :class:`LindbladGenerator` under ``decay`` (kets
+    without), checks dt (:func:`_check_dt`), counts the steps
+    (:func:`_step_count`) and the sample steps (:func:`_sample_steps`; None
+    without ``n_samples``: final state only), then propagates each input
+    stack of ``batches`` in turn: (dim, n) kets as one block with
+    A = -i H0 and B = -i Hd, or (n, dim, dim) density operators through
+    :meth:`LindbladGenerator.evolve`.  Yields, per stack, the
+    (samples, n, ...) states, the sample steps and the run's metadata:
+    ``dt`` (the step used, T / n_steps), ``n_steps`` and ``drift``, the
+    final norm or trace drift of each input as :func:`_check_drift`
+    returned it.
+    """
+    static, drive, amp = _parts(h)
+    gen = None if decay is None else LindbladGenerator(static.space, static, decay, drive, amp)
+    _check_dt(dt, _hamiltonian_scale(static, drive, amp, t_final), gen)
+    n_steps = _step_count(t_final, dt)
+    steps = None if n_samples is None else _sample_steps(n_steps, n_samples)
+    if gen is None:
+        block = _chiral_gauge({"idx": np.arange(static.space.dim),
+                               "l0": (-1j * static.matrix).tocsr(),
+                               "ld": None if drive is None else (-1j * drive.matrix).tocsr()},
+                              chiral_parity(static.space))
+    for x in batches:
+        if gen is None:
+            out = _propagate([block], x, t_final, n_steps, steps, amp)
+            # squared norms per (sample, column) without a temporary of the stack's size
+            parts = out.view(np.float64)  # real and imaginary parts interleaved
+            sq = np.einsum("sdk,sdk->sk", parts, parts)
+            drift = _check_drift("norm", out, np.sqrt(sq[:, 0::2] + sq[:, 1::2]), 1.0,
+                                 t_final / n_steps)
+            out = out.transpose(0, 2, 1)
+        else:
+            out, drift = gen.evolve(x, t_final, dt, sample_steps=steps, n_steps=n_steps)
+        yield out, steps, {"dt": t_final / n_steps, "n_steps": n_steps, "drift": drift}
+
+
+def _trajectories(h, decay, batches, t_final, dt, n_samples):
+    """One :class:`Trajectory` per input of :func:`_run`, produced when asked
+    for; its metadata is the run's, with the input's own ``drift``."""
+    space = _parts(h)[0].space
+    for states, steps, run in _run(h, decay, batches, t_final, dt, n_samples):
+        for j, drift in enumerate(run["drift"]):
+            yield Trajectory(times=steps * run["dt"], states=states[:, j],
+                             metadata={"space": space, **run, "drift": float(drift)})
+
+
+def evolve_states(
+    h: Union[SparseOperator, DrivenOperator],
+    kets: np.ndarray,
+    t_final: float,
+    dt: float = DEFAULT_DT,
+    n_samples: int = DEFAULT_SAMPLES,
+) -> list:
+    """Propagate a (dim, n) stack of unit-norm kets in one integration.
+
+    Returns one :class:`Trajectory` per column, each as :func:`evolve_state`
+    returns it for that column alone.  Aborts with :class:`IntegrationError`
+    if the norm of any column drifts by more than 1e-4 at any sample.
+    """
+    space = _parts(h)[0].space
+    kets = np.asarray(kets, dtype=complex)
+    if kets.ndim != 2 or kets.shape[0] != space.dim:
+        raise ValueError(f"kets must have shape ({space.dim}, n)")
+    if np.abs(np.linalg.norm(kets, axis=0) - 1.0).max() > 1e-8:
+        raise ValueError("every ket must be normalized")
+    return list(_trajectories(h, None, [kets], t_final, dt, n_samples))
+
+
+def evolve_states_final(
+    h: Union[SparseOperator, DrivenOperator],
+    kets: np.ndarray,
+    t_final: float,
+    dt: float = DEFAULT_DT,
+) -> tuple:
+    """Final states of a (dim, n) stack of kets, no intermediate samples, as
+    a (dim, n) array with the run's metadata (``dt``, ``n_steps`` and the
+    ``drift`` of each column).
+
+    For a time-independent Hamiltonian the fixed linear RK4 step is applied
+    by binary powering.
+    """
+    states, _, run = next(_run(h, None, [np.asarray(kets, dtype=complex)], t_final, dt, None))
+    return states[0].T, run
+
+
+def evolve_state(
+    h: Union[SparseOperator, DrivenOperator],
+    psi0: np.ndarray,
+    t_final: float,
+    dt: float = DEFAULT_DT,
+    n_samples: int = DEFAULT_SAMPLES,
+) -> Trajectory:
+    """Propagate a unit-norm state vector under i dpsi/dt = H(t) psi.
+
+    Aborts with :class:`IntegrationError` if the norm drifts by more than
+    1e-4 at any sample; a healthy run keeps the final norm within 1e-6 of 1.
+    """
+    dim = _parts(h)[0].space.dim
+    psi0 = np.asarray(psi0, dtype=complex)
+    if psi0.shape != (dim,):
+        raise ValueError(f"psi0 must have shape ({dim},)")
+    return evolve_states(h, psi0[:, None], t_final, dt, n_samples)[0]
 
 
 def evolve_densities(
@@ -985,27 +1037,34 @@ def evolve_densities(
     a time, when asked for, so only one sampled series is held in memory.
     Each run aborts as :meth:`LindbladGenerator.evolve` does.
     """
-    static, drive, amp = _parts(h)
-    space = static.space
-    _check_dt(dt, _hamiltonian_scale(static, drive, amp, t_final))
-    gen = LindbladGenerator(space, static, decay, drive, amp)
-    n_steps = _step_count(t_final, dt)
-    steps = _sample_steps(n_steps, n_samples)
-    for rho0 in rhos:
-        rho0 = np.asarray(rho0, dtype=complex)
-        if rho0.shape != (space.dim, space.dim):
-            raise ValueError(f"rho0 must have shape ({space.dim}, {space.dim})")
-        states = gen.evolve(rho0, t_final, dt, sample_steps=steps, n_steps=n_steps)
-        yield Trajectory(
-            times=steps * (t_final / n_steps),
-            states=states,
-            metadata={
-                "space": space,
-                "dt": t_final / n_steps,
-                "n_steps": n_steps,
-                "final_trace_drift": float(abs(np.trace(states[-1]) - np.trace(rho0))),
-            },
-        )
+    dim = _parts(h)[0].space.dim
+
+    def inputs():
+        for rho0 in rhos:
+            rho0 = np.asarray(rho0, dtype=complex)
+            if rho0.shape != (dim, dim):
+                raise ValueError(f"rho0 must have shape ({dim}, {dim})")
+            yield rho0[None]
+
+    return _trajectories(h, decay, inputs(), t_final, dt, n_samples)
+
+
+def evolve_density_final(
+    h: Union[SparseOperator, DrivenOperator],
+    decay: DecayParams,
+    rhos: np.ndarray,
+    t_final: float,
+    dt: float = DEFAULT_DT,
+) -> tuple:
+    """Final states of a (n, dim, dim) stack under the master equation, with
+    the run's metadata (``dt``, ``n_steps`` and the ``drift`` of each input).
+
+    Batch fast path used by channel reconstruction: the stacked operators
+    evolve independently (the generator is linear), and a time-independent
+    generator is applied by repeated squaring per closure.
+    """
+    states, _, run = next(_run(h, decay, [np.asarray(rhos, dtype=complex)], t_final, dt, None))
+    return states[0], run
 
 
 def evolve_density(
@@ -1019,25 +1078,6 @@ def evolve_density(
     """Integrate the Lindblad master equation for one density operator, as
     :func:`evolve_densities` does for each of several."""
     return next(evolve_densities(h, decay, [rho0], t_final, dt, n_samples))
-
-
-def evolve_density_final(
-    h: Union[SparseOperator, DrivenOperator],
-    decay: DecayParams,
-    rhos: np.ndarray,
-    t_final: float,
-    dt: float = DEFAULT_DT,
-) -> np.ndarray:
-    """Final states of a (n, dim, dim) stack under the master equation.
-
-    Batch fast path used by channel reconstruction: the stacked operators
-    evolve independently (the generator is linear), and a time-independent
-    generator is applied by repeated squaring per closure.
-    """
-    static, drive, amp = _parts(h)
-    _check_dt(dt, _hamiltonian_scale(static, drive, amp, t_final))
-    gen = LindbladGenerator(static.space, static, decay, drive, amp)
-    return gen.evolve(np.asarray(rhos, dtype=complex), t_final, dt)[0]
 
 
 # ---------------------------------------------------------------------------

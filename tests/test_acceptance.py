@@ -305,7 +305,7 @@ def test_criterion_10_property_suite():
     r1 = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     r2 = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     al, be = 0.6 - 0.1j, -0.4 + 0.9j
-    outs = evolve_density_final(
+    outs, _ = evolve_density_final(
         h, decay, np.stack([r1, r2, al * r1 + be * r2]), 5.0
     )
     results["linearity"] = np.abs(al * outs[0] + be * outs[1] - outs[2]).max() < 1e-8

@@ -17,7 +17,6 @@ from cavityfredkin.hilbert import build_space, qubit_basis_index, qubit_extracti
 from cavityfredkin.model import PhysParams
 from cavityfredkin.propagate import (
     DecayParams,
-    IntegrationError,
     evolve_density_final,
     evolve_states,
     evolve_states_final,
@@ -141,11 +140,11 @@ class TestReconstructChannel:
         kets = np.zeros((sector.dim, 8), dtype=complex)
         for q in range(8):
             kets[reg[q], q] = 1.0
-        finals = evolve_states_final(h, kets, 0.0)
+        finals, _ = evolve_states_final(h, kets, 0.0)
         assert np.abs(finals - kets).max() < 1e-14
         unit = np.zeros((sector.dim, sector.dim), dtype=complex)
         unit[reg[3], reg[5]] = 1.0
-        out = evolve_density_final(h, DecayParams(kappa=0.01), unit[None], 0.0)[0]
+        out = evolve_density_final(h, DecayParams(kappa=0.01), unit[None], 0.0)[0][0]
         assert np.abs(out - unit).max() < 1e-14
 
     def test_resonant_gate_close_to_ideal(self, resonant_channel):
@@ -186,8 +185,8 @@ class TestReconstructChannel:
         units = np.zeros((len(pairs), sector.dim, sector.dim), dtype=complex)
         for k, (m, n) in enumerate(pairs):
             units[k, reg[m], reg[n]] = 1.0
-        outs = evolve_density_final(scheme_hamiltonian(sector, params, sched), DecayParams(),
-                                    units, sched.total_time)
+        outs, _ = evolve_density_final(scheme_hamiltonian(sector, params, sched), DecayParams(),
+                                       units, sched.total_time)
         m, n = np.array(pairs).T
         assert np.abs(ch_s.images[m, n] - qubit_extraction(sector, outs)).max() < 1e-8
 
@@ -202,17 +201,27 @@ class TestReconstructChannel:
         assert ch.metadata["method"] == method
         assert ("qubit_matrix" in ch.metadata) == (method == "state")
 
-    @pytest.mark.parametrize("dt", [0.01, 0.0073])
-    def test_metadata_records_the_step_used(self, sector, dt):
+    @pytest.mark.parametrize("decay, dt", [
+        pytest.param(DecayParams(), 0.01, id="0.01"),
+        pytest.param(DecayParams(), 0.0073, id="0.0073"),
+        pytest.param(DecayParams(kappa=0.01, gamma=0.01), 0.0073, id="lossy-0.0073"),
+    ])
+    def test_metadata_records_the_step_used(self, sector, decay, dt):
         # 76.953 / 0.01 is not whole: the run takes 7696 steps of 0.0099991
         params, sched = PhysParams.resonant(), DriveSchedule.adiabatic(0.05)
-        ch = reconstruct_channel("resonant", params, sched, DecayParams(), space=sector, dt=dt)
-        kets = np.zeros((sector.dim, 1), dtype=complex)
-        kets[qubit_basis_index(sector, 0), 0] = 1.0
-        (traj,) = evolve_states(scheme_hamiltonian(sector, params, sched), kets,
-                                sched.total_time, dt=dt)
-        assert ch.metadata["n_steps"] == traj.metadata["n_steps"]
-        assert ch.metadata["dt"] == traj.metadata["dt"]
+        ch = reconstruct_channel("resonant", params, sched, decay, space=sector, dt=dt)
+        h = scheme_hamiltonian(sector, params, sched)
+        if decay.dissipative:
+            # one unit of the channel's master-equation run, over its T and dt
+            unit = np.zeros((1, sector.dim, sector.dim), dtype=complex)
+            _, run = evolve_density_final(h, decay, unit, sched.total_time, dt=dt)
+        else:
+            kets = np.zeros((sector.dim, 1), dtype=complex)
+            kets[qubit_basis_index(sector, 0), 0] = 1.0
+            (traj,) = evolve_states(h, kets, sched.total_time, dt=dt)
+            run = traj.metadata
+        assert ch.metadata["n_steps"] == run["n_steps"] == np.ceil(sched.total_time / dt)
+        assert ch.metadata["dt"] == run["dt"]
         assert ch.metadata["dt"] * ch.metadata["n_steps"] == pytest.approx(sched.total_time)
 
     def test_jump_operators_spare_the_register(self, sector):
@@ -222,17 +231,24 @@ class TestReconstructChannel:
         units = np.zeros((3, sector.dim, sector.dim), dtype=complex)
         for k, (m, n) in enumerate([(0, 0), (3, 5), (6, 6)]):
             units[k, reg[m], reg[n]] = 1.0
-        out = evolve_density_final(
+        out, _ = evolve_density_final(
             SparseOperator.zero(sector), DecayParams(kappa=0.5, gamma=0.8), units, 50.0
         )
         assert np.abs(out - units).max() < 1e-12
 
-    # the run overflows on purpose; numpy warns before the abort
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_blown_up_run_raises(self, sector):
+    def test_blown_up_run_raises(self, sector, monkeypatch):
         # kappa dt = 10 lies far outside RK4's stability region; the run
-        # used to return fidelity nan with trace_drift 0.0
-        with pytest.raises(IntegrationError, match="non-finite output"):
+        # used to return fidelity nan with trace_drift 0.0, then to step the
+        # whole gate into inf and NaN before the drift check raised.  The dt
+        # check now names the rates before any step, so numpy never warns
+        # (the test settings turn a RuntimeWarning into an error)
+        import cavityfredkin.propagate as propagate
+
+        def no_step(*args):
+            raise AssertionError("the run was stepped")
+
+        monkeypatch.setattr(propagate, "_propagate", no_step)
+        with pytest.raises(ValueError, match="kappa = 1000"):
             reconstruct_channel(
                 "resonant", PhysParams.resonant(), DriveSchedule.adiabatic(0.1),
                 DecayParams(kappa=1000.0), space=sector,
@@ -245,7 +261,7 @@ class TestReconstructChannel:
             # the dark unit |000><000| keeps trace 1, the others turn NaN
             out = units.copy()
             out[1:] = np.nan
-            return out
+            return out, {"dt": dt, "n_steps": 1, "drift": np.zeros(len(units))}
 
         monkeypatch.setattr(channel, "evolve_density_final", blown_up)
         ch = reconstruct_channel(

@@ -180,7 +180,7 @@ class TestEvolveState:
         expected = la.expm(-1j * t * h.toarray()) @ psi0
         got = evolve_state(h, psi0, t, dt=0.01).states[-1]
         assert abs(1.0 - abs(np.vdot(expected, got)) ** 2) < 1e-8
-        got_final = evolve_states_final(h, psi0[:, None], t)[:, 0]
+        got_final = evolve_states_final(h, psi0[:, None], t)[0][:, 0]
         assert abs(1.0 - abs(np.vdot(expected, got_final)) ** 2) < 1e-8
 
     @pytest.mark.parametrize("params", [PhysParams.resonant(), PhysParams.dispersive()])
@@ -235,6 +235,51 @@ class TestEvolveStates:
         )
         with pytest.raises(IntegrationError, match="norm drift"):
             evolve_states(h, np.eye(2, dtype=complex), t_final, dt=0.05)
+
+
+class TestRunMetadata:
+    """Every entry reports its one run: the step used, the step count and
+    the final drift of each input."""
+
+    @pytest.mark.parametrize("driven", [False, True], ids=["constant", "driven"])
+    @pytest.mark.parametrize("entry", ["evolve_states", "evolve_states_final",
+                                       "evolve_densities", "evolve_density_final"])
+    def test_steps_and_drift(self, tiny, entry, driven):
+        if driven:
+            h = resonant_drive(tiny, 0.1)[0]
+        else:
+            h = full_hamiltonian(tiny, PhysParams.dispersive(), 0.1, -0.1)
+        t_final, dt = 1.2345, 0.01
+        kets = np.stack([qubit_embedding(tiny, q) for q in (5, 6)], axis=1)
+        decay = DecayParams(kappa=0.02, gamma=0.01)
+        # trace 1, trace 0 and a non-Hermitian input of trace 1 + 2i
+        rhos = np.stack([np.outer(kets[:, 0], kets[:, 0]), np.outer(kets[:, 0], kets[:, 1]),
+                         np.outer(kets[:, 1], kets[:, 1]) * (1 + 2j)])
+        if entry == "evolve_states":
+            trajs = evolve_states(h, kets, t_final, dt, n_samples=7)
+            runs = [(t.metadata, abs(np.linalg.norm(t.states[-1]) - 1.0)) for t in trajs]
+        elif entry == "evolve_states_final":
+            finals, run = evolve_states_final(h, kets, t_final, dt)
+            runs = [({**run, "drift": d}, abs(np.linalg.norm(f) - 1.0))
+                    for d, f in zip(run["drift"], finals.T)]
+        elif entry == "evolve_densities":
+            trajs = list(propagate.evolve_densities(h, decay, rhos, t_final, dt, n_samples=7))
+            runs = [(t.metadata, abs(np.trace(t.states[-1]) - np.trace(r)))
+                    for t, r in zip(trajs, rhos)]
+        else:
+            finals, run = evolve_density_final(h, decay, rhos, t_final, dt)
+            runs = [({**run, "drift": d}, abs(np.trace(f) - np.trace(r)))
+                    for d, f, r in zip(run["drift"], finals, rhos)]
+        assert len(runs) == (2 if entry.startswith("evolve_states") else 3)
+        for meta, drift in runs:
+            assert {"dt", "n_steps", "drift"} <= set(meta)
+            assert meta["n_steps"] == int(np.ceil(t_final / dt)) == 124
+            assert meta["dt"] * meta["n_steps"] == pytest.approx(t_final, rel=1e-12, abs=0)
+            assert meta["drift"] == pytest.approx(drift, rel=0, abs=1e-15)
+        if entry.endswith("final"):
+            assert set(run) == {"dt", "n_steps", "drift"}
+        else:
+            assert all(set(t.metadata) == {"space", "dt", "n_steps", "drift"} for t in trajs)
 
 
 class TestSectorRestriction:
@@ -314,7 +359,7 @@ class TestEvolveDensity:
         r1 = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         r2 = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         al, be = 0.3 - 0.2j, 1.1 + 0.7j
-        outs = evolve_density_final(h, decay, np.stack([r1, r2, al * r1 + be * r2]), 4.0)
+        outs, _ = evolve_density_final(h, decay, np.stack([r1, r2, al * r1 + be * r2]), 4.0)
         assert np.abs(al * outs[0] + be * outs[1] - outs[2]).max() < 1e-8
 
     def test_matches_dense_superoperator_exponential(self, tiny):
@@ -337,10 +382,10 @@ class TestEvolveDensity:
         gen = LindbladGenerator(tiny, h, decay)
         t_final = 8.0
         n_steps = 1 << 10
-        powered = gen.evolve(rho0, t_final, n_steps=None, dt=t_final / n_steps)[0]
+        powered = gen.evolve(rho0, t_final, n_steps=None, dt=t_final / n_steps)[0][0]
         stepped = gen.evolve(
             rho0, t_final, dt=t_final / n_steps, sample_steps=[n_steps], n_steps=n_steps
-        )[0]
+        )[0][0]
         assert np.abs(powered - stepped).max() < 1e-12
 
     def test_sector_chains_partition_operator_space(self, tiny):
@@ -362,13 +407,16 @@ class TestEvolveDensity:
     def test_trace_drift_abort(self, tiny):
         # a non-Lindblad generator breaks trace conservation: feed the
         # monitor a Hermitian input under a doctored jump list by evolving
-        # with dt at the stability edge of a stiff decay
+        # with dt at the stability edge of a stiff decay.  The entries' dt
+        # check rejects this run (dt times the decay scale 180 is 9), so
+        # the generator, which has no dt check, runs it directly
         h = SparseOperator.zero(tiny)
         decay = DecayParams(kappa=60.0)
         i = tiny.state_index("000", "001")
         rho0 = np.outer(tiny.basis_vector(i), tiny.basis_vector(i))
+        gen = LindbladGenerator(tiny, h, decay)
         with pytest.raises(IntegrationError, match="trace drift"):
-            evolve_density(h, decay, rho0, 10.0, dt=0.05)
+            gen.evolve(rho0, 10.0, dt=0.05, sample_steps=range(201))
 
     def test_trace_drift_abort_on_non_hermitian_input(self, tiny):
         # the trace of every input is checked, not only of Hermitian ones: a
@@ -380,10 +428,11 @@ class TestEvolveDensity:
         i, j = tiny.state_index("000", "001"), tiny.state_index("000", "000")
         x = np.zeros((tiny.dim, tiny.dim), dtype=complex)
         x[i, i] = x[j, i] = 1.0
+        gen = LindbladGenerator(tiny, h, decay)
         with pytest.raises(IntegrationError, match="trace drift"):
-            evolve_density(h, decay, x, 12.8, dt=0.05)
+            gen.evolve(x, 12.8, dt=0.05, sample_steps=range(257))
         with pytest.raises(IntegrationError, match="trace drift"):
-            evolve_density_final(h, decay, x[None], 12.8, dt=0.05)
+            gen.evolve(x[None], 12.8, dt=0.05)
 
     # the run overflows on purpose; numpy warns before the abort
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -393,9 +442,27 @@ class TestEvolveDensity:
         h, t_gate = resonant_drive(tiny, 0.1)
         i = tiny.state_index("000", "001")
         rho0 = np.outer(tiny.basis_vector(i), tiny.basis_vector(i))
+        gen = LindbladGenerator(tiny, h.static, DecayParams(kappa=1000.0), h.drive, h.amplitude)
         message = r"non-finite output in input column 0; .*used 0\.0.*kappa = 1000"
         with pytest.raises(IntegrationError, match=message):
-            evolve_density_final(h, DecayParams(kappa=1000.0), rho0[None], t_gate)
+            gen.evolve(rho0[None], t_gate)
+
+    def test_dt_check_bounds_the_decay_rates(self, tiny):
+        # three cavities at kappa = 60 with ||a^dag a|| = 1 give the decay
+        # scale 180; dt = 0.05 puts 9 outside RK4's real stability interval
+        # (2.785), and both density entries reject the run before any step
+        h = SparseOperator.zero(tiny)
+        decay = DecayParams(kappa=60.0)
+        i = tiny.state_index("000", "001")
+        rho0 = np.outer(tiny.basis_vector(i), tiny.basis_vector(i))
+        message = r"decay scale 180 \(kappa = 60, gamma = 0\); need dt <= 0\.0155"
+        with pytest.raises(ValueError, match=message):
+            evolve_density(h, decay, rho0, 10.0, dt=0.05)
+        with pytest.raises(ValueError, match=message):
+            evolve_density_final(h, decay, rho0[None], 10.0, dt=0.05)
+        # 0.015 * 180 = 2.7 lies inside
+        out, run = evolve_density_final(h, decay, rho0[None], 0.3, dt=0.015)
+        assert run["n_steps"] == 20 and np.isfinite(out).all()
 
 
 class TestRealChainForm:
@@ -463,7 +530,7 @@ class TestRealChainForm:
         pairs = _oriented_pairs()
         # 256 steps: binary powering squares each closure's step map 8 times
         n_steps, dt = 256, 0.01
-        got = evolve_density_final(h, decay, units, n_steps * dt, dt=dt)
+        got, _ = evolve_density_final(h, decay, units, n_steps * dt, dt=dt)
 
         a = (dt * vectorized_generator(sector, h, decay)).tocsr()
         x = units.reshape(len(pairs), -1).T.copy()
@@ -565,14 +632,14 @@ class TestClosurePruning:
         units = matrix_units(sector)
         if path == "stepped":
             steps = [0, n_steps // 2, n_steps]
-            got = gen.evolve(units, t_final, sample_steps=steps, n_steps=n_steps)
+            got, _ = gen.evolve(units, t_final, sample_steps=steps, n_steps=n_steps)
             expected = full_chain_evolve(gen, units, t_final, n_steps, steps)
             # entries outside a closure are exact zeros, so the pruned loop
             # drops only zero terms of the same sums
             for g, e in zip(got, expected):
                 assert np.array_equal(g, e)
         else:
-            (got,) = gen.evolve(units, t_final, n_steps=n_steps)
+            (got,), _ = gen.evolve(units, t_final, n_steps=n_steps)
             (expected,) = full_chain_evolve(gen, units, t_final, n_steps, [n_steps])
             assert np.abs(got - expected).max() < 1e-12
 
@@ -597,7 +664,7 @@ class TestClosurePruning:
 
         monkeypatch.setattr(propagate, "_powered_samples", record_powered)
         monkeypatch.setattr(propagate, "_rk4_loop", record_loop)
-        (got,) = gen.evolve(units, t_final, n_steps=n_steps)
+        (got,), _ = gen.evolve(units, t_final, n_steps=n_steps)
         closures = [len(rows) for chain in gen.chains
                     for rows, _ in _closure_groups(
                         chain["l0"], None, sector_parts(chain, chain_inputs(chain, units)))]
@@ -932,7 +999,7 @@ class TestComposedStepMaps:
             propagate._sample_steps(n_steps, 40))
         for j, traj in enumerate(trajs):
             assert np.abs(traj.states - expected[:, :, j]).max() < 1e-12
-        final = evolve_states_final(h, kets, t_gate)
+        final, _ = evolve_states_final(h, kets, t_gate)
         assert np.abs(final - expected[-1]).max() < 1e-12
 
     def test_ket_block_takes_maps_and_lossy_channel_the_stage_loop(self, sector, monkeypatch):
@@ -980,7 +1047,7 @@ class TestKetClosures:
         n_steps = int(np.ceil(t_final / dt))  # 31416: not a power of two
         step = _rk4_taylor_step((-1j * t_final / n_steps) * h.matrix)
         expected = _power_apply(step, kets.astype(complex), n_steps)  # 68 x 68 map
-        got = evolve_states_final(h, kets, t_final, dt=dt)
+        got, _ = evolve_states_final(h, kets, t_final, dt=dt)
         assert np.abs(got - expected).max() < 1e-12
 
 
