@@ -47,6 +47,11 @@ D = 8  # register dimension
 
 IMAG_RESIDUE_TOL = 1e-8
 
+#: most negative smallest Choi eigenvalue a master-equation channel may
+#: have; the measured floors are -1.8e-12 (dispersive, 0.1 g) and -1.5e-15
+#: (resonant, 0.05 g)
+CHOI_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class IdealGate:
@@ -169,6 +174,12 @@ def reconstruct_channel(
     ``metadata["dt"]`` and ``["n_steps"]`` are the step and step count the
     run reports in the metadata of :func:`evolve_states_final` or
     :func:`evolve_density_final`.
+
+    A density-route channel is checked for complete positivity: its
+    smallest Choi eigenvalue is ``metadata["choi_min_eig"]``, and one below
+    -``CHOI_TOL`` raises ValueError.  Non-finite images skip the check
+    (NaN).  Outer products of kets are completely positive by construction,
+    so the state route is not checked.
     """
     if scheme not in ("resonant", "dispersive"):
         raise ValueError(f"scheme must be 'resonant' or 'dispersive', got {scheme!r}")
@@ -212,6 +223,8 @@ def reconstruct_channel(
     # leakage: population that left the register states, summed state by state
     leakage = float(1.0 - np.mean(sum(diag[:, i, i].real for i in reg)))
 
+    if decay.dissipative:
+        extra = {"choi_min_eig": _choi_min_eig(images)}
     return QuantumChannel(
         images=images,
         metadata={
@@ -229,6 +242,18 @@ def reconstruct_channel(
             **extra,
         },
     )
+
+
+def _choi_min_eig(images: np.ndarray) -> float:
+    """Smallest eigenvalue of the Choi matrix of ``images``, NaN when an
+    image is not finite; raises ValueError below -``CHOI_TOL``."""
+    if not np.isfinite(images).all():
+        return float("nan")
+    value = float(np.linalg.eigvalsh(QuantumChannel(images).choi_matrix()).min())
+    if value < -CHOI_TOL:
+        raise ValueError(f"channel is not completely positive: smallest Choi eigenvalue "
+                         f"{value:.3g} is below -{CHOI_TOL:g}")
+    return value
 
 
 def average_gate_fidelity(

@@ -65,10 +65,10 @@ and the dense step map of the 2830-dimensional chain takes 64 MB instead of
 
 Within a chain, each input column is propagated only on its closure: the
 smallest set of chain indices that holds the column's nonzero entries and
-that the generator maps into itself (for the delta = 0 chain, in the real
-coordinates).  Closures come from the sparsity pattern of |L0| + |Ld| by
-repeated boolean sparse products; columns that share one are grouped, and
-columns that are zero in the chain's coordinates are skipped.  A constant
+that the generator maps into itself, in the chain's coordinates.  Closures
+come from the sparsity pattern of |L0| + |Ld| by repeated boolean sparse
+products; columns that share one are grouped, and columns that are zero in
+the chain's coordinates are skipped.  A constant
 generator powers one dense step map per closure, on the submatrix L0[R][:, R];
 a time-dependent one stacks the closure blocks of all chains, one per column,
 into one block-diagonal system per dtype and steps it in a single loop.
@@ -82,35 +82,54 @@ The array is mirror-symmetric: U = (atom 1 <-> atom 3, cavity 1 <-> cavity 3)
 x (-1)^(N_photon + N_e) (:func:`~cavityfredkin.hilbert.mirror_map`) commutes
 with H0 and with the gate's drive Omega_3 = -Omega_1, and maps every jump
 operator to +/- its mirror image, so S = U kron U commutes with L0 and Ld.
-The basis of the delta = 0 chain composes the real coordinates with the
-combinations (e_p +/- sig e_q)/sqrt2 of each pair that S exchanges
-(S e_p = sig e_q; :func:`_mirror_sectors`), and the chain's ``sector`` holds
-each coordinate's eigenvalue +1 or -1 of S.  The generator's entries
-between the sectors are then rounding residue of about 1e-18; they are
-deleted, and each input column is propagated as two parts, one per sector,
-each on a closure inside its sector.  The three largest closures of a
-channel reconstruction (from |011><111|, |011><011| and |111><111|, in the
-+1 sector) fall from 1390, 956 and 534 to 718, 494 and 276 indices, the
+Every chain's basis composes its coordinates (the real ones on delta = 0,
+the gauged or plain vec entries below on delta != 0) with the combinations
+(e_p +/- sig e_q)/sqrt2 of each pair that S exchanges (S e_p = sig e_q;
+:func:`_mirror_sectors`), and the chain's ``sector`` holds each
+coordinate's eigenvalue +1 or -1 of S.  The generator's entries between
+the sectors are then rounding residue of about 1e-18; they are deleted,
+and each input column is propagated as two parts, one per sector, each on
+a closure inside its sector.  The three largest closures of a channel
+reconstruction (from |011><111|, |011><011| and |111><111|, in the +1
+sector) fall from 1390, 956 and 534 to 718, 494 and 276 indices, the
 summed d^3 of the powered delta = 0 closures from 3.71e9 to 5.12e8, and
-the resonant step loop does about 21 k multiply-adds per stage (29 k
-unsplit, 751 k unpruned).  A generator without the symmetry, e.g. with
-Omega_3 != -Omega_1, has cross-sector entries above 1e-12 of its largest
-entry; it keeps one sector and is propagated as before.  The delta != 0
-chains are not split.
+that of the complex dispersive delta != 0 closures from 3.48e7 (largest
+247) to 8.76e6 (largest 130).  The resonant step loop does about 20 k
+multiply-adds per stage (29 k unsplit, 751 k unpruned).  A mirror pair of
+inputs, such as |000><101| and |000><110|, is now propagated on the same
+closures, so the two images agree to 7e-18 (1.2e-12 when the delta != 0
+chains were powered unsplit).  A generator without the symmetry, e.g.
+with Omega_3 != -Omega_1, has cross-sector entries above 1e-12 of its
+largest entry in the summed matrices of a chain (:func:`_sector_split`
+checks every chain of every generator); that chain keeps one sector and is
+propagated as before.
 
 At Delta = 0 every entry of H0 and Hd flips the chiral parity
 pi = [atom 1 in e] + [atom 3 in e] + n_2 (:func:`~cavityfredkin.hilbert.chiral_parity`),
 and each jump operator shifts pi by one fixed amount.  In the diagonal
-gauge rho_ij -> i^-(pi_i - pi_j) rho_ij (:func:`_chiral_gauge`) every entry
-of L0 and Ld on a delta != 0 chain is then exactly real, and so is -i H
-for kets in the gauge psi_i -> i^-pi_i psi_i.  Such a block is propagated
-like the delta = 0 chain: its ``basis`` is the diagonal phase, its input
-columns become real columns, and the all-zero half of each matrix unit is
-skipped.  The resonant channel's stepped closures of all five chains thus
-form one real system of 3568 rows and 20 981 nonzeros per stage, stepped
-in one loop (three loops, two of them complex, without the gauge).  The
-detuning's imaginary diagonal keeps dispersive blocks complex and
-ungauged.
+gauge rho_ij -> i^-(pi_i - pi_j) rho_ij every entry of L0 and Ld on a
+delta != 0 chain is then exactly real, and so is -i H for kets in the
+gauge psi_i -> i^-pi_i psi_i.  pi is mirror-invariant, so the gauge
+commutes with the mirror rotation.  Such a block is propagated like the
+delta = 0 chain: its input columns become real columns, and the all-zero
+half of each matrix unit is skipped.  The resonant channel's stepped
+closures of all five chains thus form one real system of 3526 rows and
+20 491 nonzeros per stage (3568 and 20 981 with unsplit delta != 0
+chains), stepped in one loop (three loops, two of them complex, without
+the gauge).  The detuning's imaginary diagonal keeps dispersive blocks
+complex, in vec coordinates (:func:`_first_block` tries the coordinates
+in turn); the dispersive ket block has the identity as its basis.
+
+What depends only on the space is built once per space, on the first
+generator (:func:`_chain_structure`): the chain index sets, each chain's
+coordinates and its kappa and gamma dissipators of unit rate in those
+coordinates.  A generator puts the commutators of its Hamiltonian into
+the cached coordinates and adds kappa D_kappa + gamma D_gamma; this sums
+in another order than transforming the summed generator, within 1e-15 of
+the largest entry.  Two caches are keyed on exact content, so they never
+change a result: :func:`_closure_groups` on the nonzero patterns of the
+generator and of the input columns, and :func:`_spectral_norm` of the dt
+check on the operator's space and CSR arrays.
 
 Kets take the same path: :func:`_propagate` is the one core, and a ket
 Hamiltonian is one block over all states with A = -i H0 and B = -i Hd,
@@ -128,6 +147,7 @@ called once per run.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
@@ -183,6 +203,15 @@ _REAL_FORM_TOL = 1e-12
 #: RK4's stability interval on the negative real axis: the step polynomial
 #: 1 + z + z^2/2 + z^3/6 + z^4/24 has modulus at most 1 for -2.7853 <= z <= 0
 _RK4_REAL_LIMIT = 2.785
+
+#: entries kept by each of the content-keyed caches below (spectral norms,
+#: closure groups); a sweep needs a handful
+_MEMO_LIMIT = 32
+_NORMS: dict = {}
+_CLOSURES: dict = {}
+
+#: i^k for k mod 4: the phases of the chiral gauge
+_PHASES = np.array([1.0, 1j, -1.0, -1j])
 
 
 class IntegrationError(RuntimeError):
@@ -251,17 +280,41 @@ def _parts(h: Union[SparseOperator, DrivenOperator]):
     return h, None, None
 
 
+def _memo(cache: dict, key, build: Callable):
+    """``cache[key]``, from ``build()`` on a miss; beyond ``_MEMO_LIMIT``
+    entries the oldest is dropped."""
+    if key not in cache:
+        if len(cache) >= _MEMO_LIMIT:
+            del cache[next(iter(cache))]
+        cache[key] = build()
+    return cache[key]
+
+
+def _arrays_key(*arrays: np.ndarray) -> tuple:
+    """Exact hashable key of ``arrays``: the dtype, shape and bytes of each."""
+    return tuple((a.dtype.str, a.shape, a.tobytes()) for a in arrays)
+
+
 def _spectral_norm(op: SparseOperator) -> float:
     """Largest |eigenvalue| of a Hermitian operator, exact.
 
     The Hamiltonians here conserve C, so each excitation sector is
     diagonalized on its own (dense ``eigvalsh``); an operator that couples
-    sectors is diagonalized whole.
+    sectors is diagonalized whole.  The value is cached on the operator's
+    exact content, its space and the CSR arrays of its matrix: the static
+    Hamiltonian of a drive sweep and every drive are diagonalized once.
     """
-    m, c = op.matrix.tocoo(), op.space.excitations
-    if np.any(c[m.row] != c[m.col]):
+    m = op.matrix.tocsr()
+    return _memo(_NORMS, (op.space,) + _arrays_key(m.indptr, m.indices, m.data),
+                 lambda: _sector_norm(m, op.space.excitations))
+
+
+def _sector_norm(m: sp.csr_matrix, c: np.ndarray) -> float:
+    """:func:`_spectral_norm` of the CSR matrix ``m``, uncached, for the
+    excitation numbers ``c`` of its space."""
+    coo = m.tocoo()
+    if np.any(c[coo.row] != c[coo.col]):
         c = np.zeros_like(c)
-    m = m.tocsr()
     return max((float(np.abs(np.linalg.eigvalsh(m[idx][:, idx].toarray())).max())
                 for idx in (np.flatnonzero(c == v) for v in np.unique(c))), default=0.0)
 
@@ -531,11 +584,11 @@ def _propagate(blocks: Sequence[dict], x: np.ndarray, t_final: float, n_steps: i
     """The one propagation core: y' = (A + a(t) B) y on independent blocks.
 
     ``x`` is an (N, n) stack of inputs.  A block is a dict with ``idx``, its
-    rows of ``x``, and ``l0`` = A and ``ld`` = B on those rows (``ld`` None:
-    constant, for every block of a call); a block with a ``basis`` U holds
-    real A and B in the coordinates U y, maps back with ``back`` = U^dag,
-    and propagates the parts of each column on its ``sector`` = +1 and -1
-    coordinates apart (A and B have no entries between them).  The nonzero
+    rows of ``x``, a ``basis`` U with ``back`` = U^dag, and ``l0`` = A and
+    ``ld`` = B in the coordinates U y (``ld`` None: constant, for every
+    block of a call), real or complex; it propagates the parts of each
+    column on its ``sector`` = +1 and -1 coordinates apart (A and B have no
+    entries between them).  The nonzero
     columns of each block are propagated on their closures: a closure of a
     constant block is powered (up to ``_POWER_DIM_LIMIT`` indices); the
     others, of all blocks, are stacked one block per column and stepped in
@@ -553,27 +606,28 @@ def _propagate(blocks: Sequence[dict], x: np.ndarray, t_final: float, n_steps: i
     rows_first = np.zeros((x.shape[0], len(steps), x.shape[1]), dtype=complex)
     out = rows_first.transpose(1, 0, 2)
     stepped = []  # (A, B, inputs, (buf, rows, cols)) of the closures left to the step loop
-    based = []  # (block, columns) of the blocks propagated in their basis
+    mapped = []  # (block, columns) of the blocks propagated, mapped back below
     for block in blocks:
-        idx, l0, ld, basis = block["idx"], block["l0"], block["ld"], block.get("basis")
+        idx, l0, ld = block["idx"], block["l0"], block["ld"]
         y = x[idx]
         cols = np.flatnonzero(np.any(y, axis=0))
         if cols.size == 0:
             continue
-        y = np.ascontiguousarray(y[:, cols])
-        buf, rmap, cmap = out, idx, cols  # without a basis, samples land in ``out``
-        if basis is not None:
-            # (d, c) complex -> (d, 2c) real, parts interleaved; the samples
-            # land in the same places of the real view of ``out`` and are
-            # mapped back below
-            y = np.ascontiguousarray(basis @ y).view(np.float64)
+        y = np.ascontiguousarray(block["basis"] @ y[:, cols])
+        # the samples land in the block's coordinates at its rows of ``out``
+        buf, rmap, cmap = out, idx, cols
+        if l0.dtype == np.float64:
+            # (d, c) complex -> (d, 2c) real, parts interleaved, and the
+            # samples in the same places of the real view of ``out``
+            y = y.view(np.float64)
             buf = rows_first.view(np.float64).transpose(1, 0, 2)
-            # each column's two mirror-sector parts; their closures lie in
-            # disjoint rows of the one column they both fill
-            cmap = np.tile(np.stack([2 * cols, 2 * cols + 1], axis=1).ravel(), 2)
-            plus = (block["sector"] > 0)[:, None]
-            y = np.concatenate([np.where(plus, y, 0.0), np.where(plus, 0.0, y)], axis=1)
-            based.append((block, cols))
+            cmap = np.stack([2 * cols, 2 * cols + 1], axis=1).ravel()
+        # each column's two mirror-sector parts; their closures lie in
+        # disjoint rows of the one column they both fill
+        cmap = np.tile(cmap, 2)
+        plus = (block["sector"] > 0)[:, None]
+        y = np.concatenate([np.where(plus, y, 0.0), np.where(plus, 0.0, y)], axis=1)
+        mapped.append((block, cols))
         for rows, group in _closure_groups(l0, ld, y):
             where = np.ix_(rows, group)
             if ld is None and len(rows) <= _POWER_DIM_LIMIT:
@@ -601,7 +655,7 @@ def _propagate(blocks: Sequence[dict], x: np.ndarray, t_final: float, n_steps: i
             buf[:, np.tile(rows, len(group)), np.repeat(group, len(rows))] = \
                 sampled[:, pos:pos + y0.size]
             pos += y0.size
-    for block, cols in based:
+    for block, cols in mapped:
         # back to vec coordinates, in place, one product per chunk of samples
         rows = block["idx"][:, None]
         for s in range(0, len(steps), _SAMPLE_CHUNK):
@@ -677,21 +731,24 @@ def _hermitian_basis(idx: np.ndarray, dim: int) -> sp.csr_matrix:
     return sp.csr_matrix((v, (r, c)), shape=(len(idx), len(idx)), dtype=complex)
 
 
-def _mirror_sectors(idx: np.ndarray, dim: int, perm: np.ndarray, sign: np.ndarray) -> tuple:
-    """The :func:`_hermitian_basis` H of ``idx`` composed with the mirror
-    sectors, as the sparse unitary R H and the sector (+1 or -1) of each of
-    its coordinates, for the mirror U e_i = sign[i] e_perm[i] of
+def _mirror_sectors(idx: np.ndarray, dim: int, perm: np.ndarray, sign: np.ndarray,
+                    hermitian: bool) -> tuple:
+    """The mirror-sector rotation of a chain's coordinates, as a real sparse
+    orthogonal R, and the sector (+1 or -1) of each of its coordinates, for
+    the mirror U e_i = sign[i] e_perm[i] of
     :func:`~cavityfredkin.hilbert.mirror_map`.
 
-    S = U kron U maps coordinate p of H to sig[p] times coordinate q[p]:
-    (i, j) goes to (perm i, perm j), transposed with the sign of the
-    imaginary part when the mirror flips i < j.  A fixed p keeps e_p in
-    sector sig[p]; a pair p < q becomes (e_p + sig e_q)/sqrt2 at p, sector
-    +1, and (e_p - sig e_q)/sqrt2 at q, sector -1.
+    The coordinates are the vec entries of ``idx``, or with ``hermitian``
+    those of its :func:`_hermitian_basis`.  S = U kron U maps coordinate p
+    to sig[p] times coordinate q[p]: (i, j) goes to (perm i, perm j), in
+    the Hermitian coordinates transposed with the sign of the imaginary part
+    when the mirror flips i < j.  A fixed p keeps e_p in sector sig[p]; a
+    pair p < q becomes (e_p + sig e_q)/sqrt2 at p, sector +1, and
+    (e_p - sig e_q)/sqrt2 at q, sector -1.
     """
     rows, cols = np.divmod(idx, dim)
     pr, pc = perm[rows], perm[cols]
-    flip = (pr < pc) != (rows < cols)
+    flip = ((pr < pc) != (rows < cols)) & hermitian
     q = np.searchsorted(idx, np.where(flip, pc * dim + pr, pr * dim + pc))
     sig = sign[rows] * sign[cols] * np.where(flip & (rows > cols), -1.0, 1.0)
     local = np.arange(len(idx))
@@ -702,14 +759,13 @@ def _mirror_sectors(idx: np.ndarray, dim: int, perm: np.ndarray, sign: np.ndarra
     v = np.concatenate([np.ones(fixed.sum()), np.full(first.sum(), s), s * sig[first],
                         np.full(second.sum(), s), -s * sig[second]])
     sector = np.where(fixed, sig, np.where(first, 1.0, -1.0))
-    rot = sp.csr_matrix((v, (r, c)), shape=(len(idx), len(idx)))
-    return (rot @ _hermitian_basis(idx, dim)).tocsr(), sector
+    return sp.csr_matrix((v, (r, c)), shape=(len(idx), len(idx))), sector
 
 
 def _sector_split(mats: list, sector: np.ndarray) -> np.ndarray:
-    """Delete the entries of the real ``mats`` between the two sectors when
-    they are rounding residue, at most 1e-12 of each matrix's largest entry,
-    and return ``sector``.  Otherwise the generator is not mirror-symmetric:
+    """Delete the entries of ``mats`` between the two sectors when they are
+    rounding residue, at most 1e-12 of each matrix's largest entry, and
+    return ``sector``.  Otherwise the generator is not mirror-symmetric:
     ``mats`` stay as they are and every coordinate is in one sector."""
     cross = [sector[np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))] != sector[m.indices]
              for m in mats]
@@ -736,38 +792,88 @@ def _real_part(m: sp.spmatrix) -> Optional[sp.csr_matrix]:
     return real
 
 
-def _real_coordinates(block: dict, basis: sp.csr_matrix, sector: np.ndarray) -> Optional[dict]:
-    """``block`` in the coordinates basis @ y: ``l0`` and ``ld`` replaced by
-    the real forms of basis @ L @ basis^dag, split by :func:`_sector_split`,
-    with ``basis``, ``back`` = basis^dag and the resulting ``sector``.  None
-    when a form has an imaginary part above 1e-12 of its largest entry."""
-    forms = [None if m is None else _real_part(basis @ m @ basis.conj().T)
-             for m in (block["l0"], block["ld"])]
-    if forms[0] is None or (block["ld"] is not None and forms[1] is None):
-        return None
-    sector = _sector_split([m for m in forms if m is not None], sector)
-    return {**block, "l0": forms[0], "ld": forms[1], "basis": basis,
-            "back": basis.conj().T.tocsr(), "sector": sector}
+def _first_block(idx: np.ndarray, parts: list, coords: list, sector: np.ndarray,
+                 dissipation: Sequence = ()) -> Optional[dict]:
+    """The block of :func:`_propagate` on the rows ``idx`` for the generator
+    A = parts[0] (plus ``dissipation``) and B = parts[1] (or None), in the
+    first of ``coords`` that suits it; None when none does.
 
-
-def _chiral_gauge(block: dict, expo: np.ndarray) -> dict:
-    """``block`` in the coordinates conj(p) y, p = i^expo, when that makes
-    its ``l0`` and ``ld`` real: :func:`_real_coordinates` with ``basis``
-    diag(conj p) and one sector.  Otherwise (e.g. Delta != 0) ``block`` as
-    it is.
-
-    The gauge multiplies entry (r, c) by i^(expo[c] - expo[r]); an entry
-    whose exponents differ by one becomes real when it is imaginary.  The
-    diagonal is unchanged, so an imaginary diagonal rejects the block before
-    anything is built.
+    ``parts`` are in vec coordinates, ``dissipation`` lists (rate, unit)
+    pairs already in the coordinates, and each of ``coords`` is a (kind,
+    basis, back = basis^dag) triple.  'hermitian' and 'gauge' coordinates
+    must make the forms basis @ M @ back real to 1e-12 (:func:`_real_part`);
+    'gauge' is not tried when A has an imaginary diagonal (the detuning),
+    which no diagonal gauge removes; 'vec' keeps the forms complex.  The
+    forms are split by :func:`_sector_split`, and the block records the
+    ``kind`` taken.
     """
-    l0 = block["l0"]
-    diag = l0.diagonal()
-    if np.abs(diag.imag).max(initial=0.0) > _REAL_FORM_TOL * np.abs(l0.data).max(initial=0.0):
-        return block
-    phase = np.array([1.0, 1j, -1.0, -1j])[expo % 4]
-    gauged = _real_coordinates(block, sp.diags(phase.conj(), format="csr"), np.ones(len(expo)))
-    return block if gauged is None else gauged
+    diagonal = parts[0].diagonal().imag
+    for kind, basis, back in coords:
+        if kind == "gauge" and np.abs(diagonal).max(initial=0.0) > (
+                _REAL_FORM_TOL * np.abs(parts[0].data).max(initial=0.0)):
+            continue
+        forms = [None if m is None else basis @ m @ back for m in parts]
+        for rate, unit in dissipation:
+            forms[0] = forms[0] + rate * unit
+        if kind == "vec":
+            for m in forms:
+                if m is not None:
+                    m.sum_duplicates()
+        else:
+            reals = [None if m is None else _real_part(m) for m in forms]
+            if any(r is None and m is not None for m, r in zip(forms, reals)):
+                continue
+            forms = reals
+        sector = _sector_split([m for m in forms if m is not None], sector)
+        return {"kind": kind, "idx": idx, "l0": forms[0], "ld": forms[1], "basis": basis,
+                "back": back, "sector": sector}
+    return None
+
+
+@functools.lru_cache(maxsize=16)
+def _chain_structure(space: HilbertSpace) -> tuple:
+    """The parts of every master-equation generator on ``space`` that no
+    Hamiltonian or rate changes: the chains, and the decay scales
+    sum_r r ||c^dag c|| of unit kappa and of unit gamma.  Built on the first
+    :class:`LindbladGenerator` of a space and shared by every later one.
+
+    A chain is a dict with ``delta``, ``idx`` (its row-major vec indices),
+    ``sector`` and ``coords``, the coordinates its generator may take, in
+    the order :func:`_first_block` tries them, each composed with the
+    mirror rotation R of :func:`_mirror_sectors`: 'hermitian' (R times the
+    :func:`_hermitian_basis`) on delta = 0; on delta != 0 'gauge' (R times
+    the chiral gauge diag(i^-(pi_i - pi_j))) and then 'vec' (R alone).
+    ``dissipators`` holds the kappa and the gamma dissipator of unit rate,
+    real, in these coordinates.  They are the same in every candidate: a
+    jump keeps pi_i - pi_j, so the gauge puts no phase on their entries.
+    The generators share these objects: ``idx`` and ``sector`` are
+    read-only, and the matrices stay private to this module.
+    """
+    dim = space.dim
+    ident = sp.identity(dim, format="csr", dtype=complex)
+    units = [_dissipator_superop(jump_operators(space, rates), ident)
+             for rates in (DecayParams(kappa=1.0), DecayParams(gamma=1.0))]
+    perm, sign = mirror_map(space)
+    parity = chiral_parity(space)
+    c = space.excitations
+    delta = (c[:, None] - c[None, :]).reshape(-1)
+    chains = []
+    for d in np.unique(delta):
+        idx = np.flatnonzero(delta == d)
+        rot, sector = _mirror_sectors(idx, dim, perm, sign, hermitian=d == 0)
+        if d == 0:
+            coords = [("hermitian", rot @ _hermitian_basis(idx, dim))]
+        else:
+            rows, cols = np.divmod(idx, dim)
+            gauge = sp.diags(_PHASES[(parity[rows] - parity[cols]) % 4].conj())
+            coords = [("gauge", rot @ gauge), ("vec", rot)]
+        coords = [(kind, basis.tocsr(), basis.conj().T.tocsr()) for kind, basis in coords]
+        _, basis, back = coords[-1]
+        idx.flags.writeable = sector.flags.writeable = False
+        chains.append({"delta": int(d), "idx": idx, "sector": sector, "coords": coords,
+                       "dissipators": [_real_part(basis @ m[idx][:, idx] @ back)
+                                       for m, _ in units]})
+    return chains, [scale for _, scale in units]
 
 
 def _closure_groups(l0: sp.spmatrix, ld: Optional[sp.spmatrix], x: np.ndarray) -> list:
@@ -778,7 +884,17 @@ def _closure_groups(l0: sp.spmatrix, ld: Optional[sp.spmatrix], x: np.ndarray) -
     is reached for all columns at once by boolean sparse products with the
     pattern of |l0| + |ld| (absolute values, so that no entry cancels),
     repeated until nothing is added.  All-zero columns belong to no group.
+    The groups (read-only arrays) are cached on an exact key, the nonzero
+    patterns of ``l0``, ``ld`` and ``x``: the points of a sweep and the
+    generators of one rate pattern find them once.
     """
+    key = tuple((m.shape,) + _arrays_key(m.indptr, m.indices, m.data != 0)
+                for m in (l0, ld) if m is not None)
+    key += ((ld is None, x.shape) + _arrays_key(np.packbits(x != 0)),)
+    return _memo(_CLOSURES, key, lambda: _find_closure_groups(l0, ld, x))
+
+
+def _find_closure_groups(l0, ld, x) -> list:
     pattern = abs(l0) if ld is None else abs(l0) + abs(ld)
     pattern.eliminate_zeros()
     pattern = pattern.astype(bool)
@@ -796,7 +912,10 @@ def _closure_groups(l0: sp.spmatrix, ld: Optional[sp.spmatrix], x: np.ndarray) -
         rows = np.flatnonzero(masks[col])
         if rows.size:
             groups.append((rows, np.flatnonzero(group.ravel() == g)))
-    return groups
+    for arrays in groups:
+        for a in arrays:
+            a.flags.writeable = False
+    return tuple(groups)
 
 
 class LindbladGenerator:
@@ -805,20 +924,25 @@ class LindbladGenerator:
     ``d vec(rho)/dt = (L0 + A(t) Ld) vec(rho)`` with L0 the static
     commutator plus dissipator and Ld the drive commutator.  Both conserve
     delta = C(row) - C(col), so they are block diagonal over the chain
-    index sets computed here.
+    index sets of :func:`_chain_structure`.
 
-    Each chain is a dict with ``delta``, ``idx`` (its row-major vec
-    indices; the chains partition the operator space), ``l0``, ``ld``,
-    ``basis``, ``back`` and ``sector``.  For the delta = 0 chain ``basis`` is
-    the unitary of :func:`_hermitian_basis` composed with the mirror-sector
-    combinations of :func:`_mirror_sectors`, ``back`` its inverse
-    basis^dag, ``l0`` and ``ld`` the real matrices basis @ L @ basis^dag
-    without entries between the sectors, and ``sector`` the +1 or -1 sector
-    of each coordinate (all +1 when L lacks the mirror symmetry).  A
-    delta != 0 chain whose :func:`_chiral_gauge` is real (Delta = 0) has the
-    diagonal phase as ``basis``, its inverse as ``back``, real ``l0`` and
-    ``ld`` and one sector; otherwise it keeps ``basis``, ``back`` and
-    ``sector`` None and complex blocks in vec coordinates.
+    A generator has two parts.  What depends only on the space (the
+    chains, their coordinates and the unit dissipators) is built once per
+    space; the commutators of ``static`` and ``drive`` are put into those
+    coordinates on each build, and the dissipator is
+    kappa D_kappa + gamma D_gamma.  Each chain is a block of
+    :func:`_propagate`, a dict with ``delta``, ``idx`` (its row-major vec
+    indices; the chains partition the operator space), ``kind``, ``basis``,
+    ``back`` = basis^dag, ``l0``, ``ld`` and ``sector``.  Every ``basis``
+    holds the mirror-sector rotation of :func:`_mirror_sectors`, and
+    ``l0`` and ``ld`` are basis @ L @ basis^dag without entries between
+    the sectors, ``sector`` the +1 or -1 sector of each coordinate (all +1
+    when L lacks the mirror symmetry: :func:`_sector_split` checks the
+    summed matrices of every chain).  ``kind`` names the coordinates:
+    'hermitian' on delta = 0 (real ``l0`` and ``ld``; a generator that is
+    not real there is not Hermiticity-preserving and raises ValueError);
+    on delta != 0 'gauge' where the chiral gauge makes them real
+    (Delta = 0), and 'vec' otherwise, complex.
     """
 
     def __init__(
@@ -833,36 +957,24 @@ class LindbladGenerator:
         self.decay = decay
         self.amplitude = amplitude
         self.drive = drive
+        chains, scales = _chain_structure(space)
         #: sum_r r ||c^dag c|| over the jump operators, for :func:`_check_dt`
-        self.decay_scale = 0.0
-        dim = space.dim
-        ident = sp.identity(dim, format="csr", dtype=complex)
-        l0 = _commutator_superop(static.matrix, ident)
-        jumps = jump_operators(space, decay)
-        if jumps:
-            dissipator, self.decay_scale = _dissipator_superop(jumps, ident)
-            l0 = (l0 + dissipator).tocsr()
-        ld = _commutator_superop(drive.matrix, ident) if drive is not None else None
-
-        cvals = space.excitations
-        delta = (cvals[:, None] - cvals[None, :]).reshape(-1)
-        parity = chiral_parity(space)
+        self.decay_scale = decay.kappa * scales[0] + decay.gamma * scales[1]
+        ident = sp.identity(space.dim, format="csr", dtype=complex)
+        hams = [None if h is None else _commutator_superop(h.matrix, ident)
+                for h in (static, drive)]
         self.chains = []
-        for d in np.unique(delta):
-            idx = np.where(delta == d)[0]
-            chain = {"delta": int(d), "idx": idx, "l0": l0[idx][:, idx].tocsr(),
-                     "ld": ld[idx][:, idx].tocsr() if ld is not None else None,
-                     "basis": None, "back": None, "sector": None}
-            if d == 0:
-                chain = _real_coordinates(chain, *_mirror_sectors(idx, dim, *mirror_map(space)))
-                if chain is None:
-                    raise ValueError(
-                        "generator is not Hermiticity-preserving: imaginary part above "
-                        f"{_REAL_FORM_TOL:g} of its largest entry in its real-coordinate form")
-            else:
-                rows, cols = np.divmod(idx, dim)
-                chain = _chiral_gauge(chain, parity[rows] - parity[cols])
-            self.chains.append(chain)
+        for chain in chains:
+            idx = chain["idx"]
+            block = _first_block(
+                idx, [None if m is None else m[idx][:, idx] for m in hams], chain["coords"],
+                chain["sector"], [(rate, unit) for rate, unit in
+                                  zip((decay.kappa, decay.gamma), chain["dissipators"]) if rate])
+            if block is None:
+                raise ValueError(
+                    "generator is not Hermiticity-preserving: imaginary part above "
+                    f"{_REAL_FORM_TOL:g} of its largest entry in its real-coordinate form")
+            self.chains.append({"delta": chain["delta"], **block})
 
     @property
     def is_constant(self) -> bool:
@@ -914,6 +1026,20 @@ class LindbladGenerator:
 # the run path and its entries
 # ---------------------------------------------------------------------------
 
+def _ket_block(static: SparseOperator, drive: Optional[SparseOperator]) -> dict:
+    """The one block of a ket run: A = -i H0 and B = -i Hd over all states,
+    in the chiral gauge psi_i -> i^-pi_i psi_i when that makes them real
+    (Delta = 0), otherwise in vec coordinates (an identity basis); one
+    sector."""
+    space = static.space
+    gauge = sp.diags(_PHASES[chiral_parity(space) % 4].conj(), format="csr")
+    eye = sp.identity(space.dim, format="csr", dtype=complex)
+    return _first_block(np.arange(space.dim),
+                        [None if h is None else (-1j * h.matrix).tocsr() for h in (static, drive)],
+                        [("gauge", gauge, gauge.conj().T.tocsr()), ("vec", eye, eye)],
+                        np.ones(space.dim))
+
+
 def _run(h, decay: Optional[DecayParams], batches, t_final: float, dt: float,
          n_samples: Optional[int]):
     """The one run path behind every propagation entry.
@@ -936,10 +1062,7 @@ def _run(h, decay: Optional[DecayParams], batches, t_final: float, dt: float,
     n_steps = _step_count(t_final, dt)
     steps = None if n_samples is None else _sample_steps(n_steps, n_samples)
     if gen is None:
-        block = _chiral_gauge({"idx": np.arange(static.space.dim),
-                               "l0": (-1j * static.matrix).tocsr(),
-                               "ld": None if drive is None else (-1j * drive.matrix).tocsr()},
-                              chiral_parity(static.space))
+        block = _ket_block(static, drive)
     for x in batches:
         if gen is None:
             out = _propagate([block], x, t_final, n_steps, steps, amp)

@@ -270,6 +270,31 @@ class TestReconstructChannel:
         )
         assert np.isnan(ch.metadata["trace_drift"])
         assert np.isnan(ch.metadata["leakage"])
+        assert np.isnan(ch.metadata["choi_min_eig"])
+
+    def test_density_route_checks_complete_positivity(self, sector, monkeypatch):
+        import cavityfredkin.channel as channel
+
+        args = ("resonant", PhysParams.resonant(), DriveSchedule.adiabatic(0.1),
+                DecayParams(kappa=0.01))
+        ch = reconstruct_channel(*args, space=sector)
+        value = ch.metadata["choi_min_eig"]
+        assert value == np.linalg.eigvalsh(ch.choi_matrix()).min()
+        assert value >= -channel.CHOI_TOL
+        run = channel.evolve_density_final
+
+        def transposed(h, decay, units, t, dt):
+            # eps(X)^T: a positive map that is not completely positive
+            outs, meta = run(h, decay, units, t, dt=dt)
+            return outs.transpose(0, 2, 1), meta
+
+        monkeypatch.setattr(channel, "evolve_density_final", transposed)
+        with pytest.raises(ValueError, match="not completely positive: smallest Choi eigenvalue -"):
+            reconstruct_channel(*args, space=sector)
+
+    def test_state_route_is_not_checked(self, resonant_channel):
+        assert resonant_channel.metadata["method"] == "state"
+        assert "choi_min_eig" not in resonant_channel.metadata
 
     def test_validation(self, sector):
         with pytest.raises(ValueError, match="scheme"):
@@ -321,9 +346,11 @@ def test_lossy_channel_is_mirror_symmetric(sector, scheme):
     """The array's mirror atom 1 <-> atom 3 acts on the register as the swap
     q1 <-> q3 in |q2 q1 q3>, and the channel commutes with it.
 
-    Mirror images such as |000><101| and |000><110| (delta = -1) are powered
-    on different closures through 31 416 dispersive steps, which leaves them
-    1.2e-12 apart; the resonant images agree to 3e-16."""
+    Mirror images such as |000><101| and |000><110| (delta = -1) were
+    powered on different closures through 31 416 dispersive steps, which
+    left them 1.2e-12 apart.  Every chain is now split into mirror sectors,
+    so both are propagated on the same sector closures: they agree to
+    7e-18, and the resonant images exactly."""
     if scheme == "resonant":
         params, sched, tol = PhysParams.resonant(), DriveSchedule.adiabatic(0.1), 1e-12
     else:

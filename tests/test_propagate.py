@@ -466,7 +466,9 @@ class TestEvolveDensity:
 
 
 class TestRealChainForm:
-    """The delta = 0 chain runs in real Hermitian coordinates."""
+    """The delta = 0 chain runs in real Hermitian coordinates, the delta != 0
+    chains in the chiral gauge where that is real and in vec coordinates
+    otherwise, each composed with the mirror rotation."""
 
     @pytest.mark.parametrize("scheme", ["resonant", "dispersive"])
     def test_basis_unitary_and_generators_real(self, sector, scheme):
@@ -481,26 +483,37 @@ class TestRealChainForm:
         l0 = vectorized_generator(sector, static, decay)
         zero = DecayParams()
         ld = vectorized_generator(sector, drive, zero) if drive is not None else None
+        perm, sign = mirror_map(sector)
         for chain in gen.chains:
             idx = chain["idx"]
             u = chain["basis"]
-            if chain["delta"] != 0 and scheme == "dispersive":
-                assert u is None
-                assert sparse_max(chain["l0"] - l0[idx][:, idx]) < 1e-15
-                continue
-            if chain["delta"] != 0:
-                # the chiral gauge: a diagonal basis of fourth roots of unity
-                assert sparse_max(u - sp.diags(u.diagonal())) == 0.0
-                phases = u.diagonal()
-                assert np.all(np.isin(phases, [1, -1, 1j, -1j]))
+            dtype = np.float64
+            if chain["delta"] == 0:
+                assert chain["kind"] == "hermitian"
+            else:
+                rot, _ = propagate._mirror_sectors(idx, sector.dim, perm, sign, hermitian=False)
+                if scheme == "dispersive":
+                    # the detuning keeps these chains complex, in the vec
+                    # coordinates turned by the mirror rotation
+                    assert chain["kind"] == "vec"
+                    assert sparse_max(u - rot) == 0.0
+                    dtype = np.complex128
+                else:
+                    # the chiral gauge, a diagonal of fourth roots of unity,
+                    # then the mirror rotation
+                    assert chain["kind"] == "gauge"
+                    phases = rot.T @ u
+                    assert sparse_max(phases - sp.diags(phases.diagonal())) < 1e-15
+                    assert np.abs(phases.diagonal() - 1j ** np.round(
+                        np.angle(phases.diagonal()) / (np.pi / 2))).max() < 1e-15
             assert sparse_max(u @ u.conj().T - sp.identity(len(idx))) < 1e-15
-            assert chain["l0"].dtype == np.float64
+            assert chain["l0"].dtype == dtype
             expect = u @ l0[idx][:, idx] @ u.conj().T
             assert sparse_max(chain["l0"] - expect) < 1e-12 * sparse_max(expect)
             if drive is None:
                 assert chain["ld"] is None
             else:
-                assert chain["ld"].dtype == np.float64
+                assert chain["ld"].dtype == dtype
                 expect = u @ ld[idx][:, idx] @ u.conj().T
                 assert sparse_max(chain["ld"] - expect) < 1e-12 * sparse_max(expect)
 
@@ -565,18 +578,13 @@ def lossy_generator(space, path, decay):
 def chain_inputs(chain, units):
     """The chain's block of the vectorized stack, in the coordinates the
     chain is propagated in."""
-    x = units.reshape(len(units), -1).T[chain["idx"]]
-    if chain["basis"] is not None:
-        x = np.ascontiguousarray(chain["basis"] @ x).view(np.float64)
-    return x
+    x = np.ascontiguousarray(chain["basis"] @ units.reshape(len(units), -1).T[chain["idx"]])
+    return x.view(np.float64) if chain["l0"].dtype == np.float64 else x
 
 
 def sector_parts(chain, x):
     """Each column of ``x`` (in the chain's coordinates) split into its parts
-    on the +1 and the -1 mirror sector, as the propagator splits it; chains
-    without a sector are returned unchanged."""
-    if chain["sector"] is None:
-        return x
+    on the +1 and the -1 mirror sector, as the propagator splits it."""
     plus = (chain["sector"] > 0)[:, None]
     return np.concatenate([np.where(plus, x, 0.0), np.where(plus, 0.0, x)], axis=1)
 
@@ -597,9 +605,10 @@ def full_chain_evolve(gen, units, t_final, n_steps, steps):
         else:
             stack = sp.vstack([chain["l0"], chain["ld"]], format="csr")
             sampled = _rk4_loop(stack, x, h, n_steps, steps, amps)
-        if chain["basis"] is not None:
-            back = chain["basis"].conj().T
-            sampled = [back @ np.ascontiguousarray(xs).view(complex) for xs in sampled]
+        back = chain["basis"].conj().T
+        if x.dtype == np.float64:
+            sampled = [np.ascontiguousarray(xs).view(complex) for xs in sampled]
+        sampled = [back @ xs for xs in sampled]
         for buf, xs in zip(out, sampled):
             buf[chain["idx"]] = xs
     return [v.T.reshape(n, dim, dim) for v in out]
@@ -648,7 +657,8 @@ class TestClosurePruning:
         # the others are still powered
         gen, t_final, n_steps = lossy_generator(sector, "powered", DECAYS["both"])
         units = matrix_units(sector)
-        limit = 200
+        # 100: the mirror-split delta = 1 closures reach 130 indices
+        limit = 100
         monkeypatch.setattr(propagate, "_POWER_DIM_LIMIT", limit)
         sizes = {"powered": [], "stepped": []}
         powered = propagate._powered_samples
@@ -737,27 +747,28 @@ class TestClosurePruning:
 
 
 class TestMirrorSectors:
-    """The delta = 0 chain splits into the +1 and -1 sectors of the mirror
+    """Every chain splits into the +1 and -1 sectors of the mirror
     S = U kron U, and each closure lies in one of them."""
 
     @pytest.mark.parametrize("path", ["stepped", "powered"])
     def test_coordinates_are_mirror_eigenvectors(self, sector, path):
         gen, _, _ = lossy_generator(sector, path, DECAYS["both"])
-        (chain,) = [c for c in gen.chains if c["delta"] == 0]
-        idx, basis, sign = chain["idx"], chain["basis"], chain["sector"]
-        dim, n = sector.dim, len(idx)
+        assert len(gen.chains) == 5
         perm, usign = mirror_map(sector)
-        rows, cols = np.divmod(idx, dim)
-        image = np.searchsorted(idx, perm[rows] * dim + perm[cols])
-        s = sp.csr_matrix((usign[rows] * usign[cols], (image, np.arange(n))), shape=(n, n))
-        assert sparse_max(basis @ basis.conj().T - sp.identity(n)) < 1e-15
-        assert sparse_max(basis @ s @ basis.conj().T - sp.diags(sign)) < 1e-15
-        assert 0 < np.count_nonzero(sign < 0) < n
-        # no entry of the generator joins the two sectors
-        for m in (chain["l0"], chain["ld"]):
-            if m is not None:
-                coo = m.tocoo()
-                assert np.all(sign[coo.row] == sign[coo.col])
+        for chain in gen.chains:
+            idx, basis, sign = chain["idx"], chain["basis"], chain["sector"]
+            dim, n = sector.dim, len(idx)
+            rows, cols = np.divmod(idx, dim)
+            image = np.searchsorted(idx, perm[rows] * dim + perm[cols])
+            s = sp.csr_matrix((usign[rows] * usign[cols], (image, np.arange(n))), shape=(n, n))
+            assert sparse_max(basis @ basis.conj().T - sp.identity(n)) < 1e-15
+            assert sparse_max(basis @ s @ basis.conj().T - sp.diags(sign)) < 1e-15
+            assert 0 < np.count_nonzero(sign < 0) < n
+            # no entry of the generator joins the two sectors
+            for m in (chain["l0"], chain["ld"]):
+                if m is not None:
+                    coo = m.tocoo()
+                    assert np.all(sign[coo.row] == sign[coo.col])
 
     def test_split_halves_the_powered_closures(self, sector, monkeypatch):
         # the lossy_dispersive configuration: before the split the largest
@@ -777,17 +788,152 @@ class TestMirrorSectors:
         assert max(sizes) == 718
         assert sum(d**3 for d in sizes) <= 5.2e8
 
+    def test_split_cuts_the_complex_powered_closures(self, sector, monkeypatch):
+        # the lossy_dispersive configuration: the complex delta != 0 chains
+        # are split too; unsplit, their powered closures summed 3.48e7 d^3
+        h = full_hamiltonian(sector, PhysParams.dispersive(), 0.1, -0.1)
+        gen = LindbladGenerator(sector, h, DecayParams(kappa=0.006, gamma=0.006))
+        assert [c["kind"] for c in gen.chains] == ["vec", "vec", "hermitian", "vec", "vec"]
+        sizes = []
+        powered = propagate._powered_samples
+
+        def record(step, block, steps):
+            if step.dtype == np.complex128:
+                sizes.append(step.shape[0])
+            return powered(step, block, steps)
+
+        monkeypatch.setattr(propagate, "_powered_samples", record)
+        gen.evolve(matrix_units(sector), 0.04, n_steps=4)
+        assert max(sizes) == 130
+        assert sum(d**3 for d in sizes) <= 8.8e6
+
     def test_asymmetric_generator_keeps_one_sector(self, tiny):
         # Omega_3 = +Omega_1 breaks the mirror: no split, same dynamics
         h = full_hamiltonian(tiny, PhysParams.resonant(), 0.05, 0.05)
         decay = DecayParams(kappa=0.05, gamma=0.03)
-        (chain,) = [c for c in LindbladGenerator(tiny, h, decay).chains if c["delta"] == 0]
-        assert np.all(chain["sector"] == 1.0)
+        chains = LindbladGenerator(tiny, h, decay).chains
+        assert len(chains) == 3
+        for chain in chains:
+            assert np.all(chain["sector"] == 1.0)
+        # on the 68-state sector too, with the dispersive detuning
+        space = build_space(fock_cap=2, sector_cap=2)
+        h_dispersive = full_hamiltonian(space, PhysParams.dispersive(), 0.1, 0.1)
+        chains = LindbladGenerator(space, h_dispersive, decay).chains
+        assert len(chains) == 5
+        for chain in chains:
+            assert np.all(chain["sector"] == 1.0)
         psi0 = qubit_embedding(tiny, 6)
         rho0 = np.outer(psi0, psi0.conj())
         expected = expm_density(tiny, h, decay, rho0, 3.0)
         got = evolve_density(h, decay, rho0, 3.0).states[-1]
         assert np.abs(expected - got).max() < 1e-8
+
+
+class TestChainStructure:
+    """What depends only on the space is built once per space; a generator
+    adds the commutators of its Hamiltonian and the rates times the cached
+    unit dissipators."""
+
+    @pytest.mark.parametrize("path", ["stepped", "powered"])
+    def test_built_once_and_equal_to_a_fresh_build(self, sector, path, monkeypatch):
+        calls = {"_dissipator_superop": 0, "_mirror_sectors": 0}
+        for name in calls:
+            def counting(*args, _f=getattr(propagate, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(propagate, name, counting)
+        propagate._chain_structure.cache_clear()
+        for rate in (0.002, 0.006, 0.01):
+            decay = DecayParams(kappa=rate, gamma=rate)
+            gen, _, _ = lossy_generator(sector, path, decay)
+            # the kappa and gamma units, and one rotation per chain
+            assert calls == {"_dissipator_superop": 2, "_mirror_sectors": 5}
+            static = gen_static(sector, path)
+            l0 = vectorized_generator(sector, static, decay)
+            ld = None if gen.is_constant else vectorized_generator(sector, gen.drive, DecayParams())
+            for chain in gen.chains:
+                idx, u = chain["idx"], chain["basis"]
+                for got, full in ((chain["l0"], l0), (chain["ld"], ld)):
+                    if full is None:
+                        assert got is None
+                        continue
+                    expect = u @ full[idx][:, idx] @ u.conj().T
+                    assert sparse_max(got - expect) <= 1e-15 * sparse_max(expect)
+            assert gen.decay_scale == pytest.approx(6 * rate + 3 * rate, rel=1e-15)
+
+
+def gen_static(space, path):
+    """The static Hamiltonian of :func:`lossy_generator`."""
+    if path == "stepped":
+        return full_hamiltonian(space, PhysParams.resonant(), 0.0, 0.0)
+    return full_hamiltonian(space, PhysParams.dispersive(), 0.1, -0.1)
+
+
+class TestContentCaches:
+    """Closure groups and spectral norms are cached on exact keys."""
+
+    def test_closure_hit_matches_a_fresh_search(self, sector, monkeypatch):
+        monkeypatch.setattr(propagate, "_CLOSURES", {})
+        units = matrix_units(sector)
+        found = []
+        for decay in (DecayParams(kappa=0.01), DecayParams(kappa=0.01, gamma=0.01)):
+            gen, _, _ = lossy_generator(sector, "powered", decay)
+            (chain,) = [c for c in gen.chains if c["delta"] == 0]
+            x = sector_parts(chain, chain_inputs(chain, units))
+            first = _closure_groups(chain["l0"], None, x)
+            # a copy with other values on the same pattern hits the entry
+            again = _closure_groups(2.0 * chain["l0"], None, x.copy())
+            assert again is first
+            fresh = propagate._find_closure_groups(chain["l0"], None, x)
+            assert len(first) == len(fresh)
+            for (rows, cols), (f_rows, f_cols) in zip(first, fresh):
+                assert np.array_equal(rows, f_rows) and np.array_equal(cols, f_cols)
+            found.append(first)
+        # the kappa-only and the kappa + gamma generator have their own entries
+        assert len(propagate._CLOSURES) == 2
+        assert [len(r) for r, _ in found[0]] != [len(r) for r, _ in found[1]]
+
+    def test_closure_key_sees_one_entry(self, tiny, monkeypatch):
+        monkeypatch.setattr(propagate, "_CLOSURES", {})
+        h = full_hamiltonian(tiny, PhysParams.resonant(), 0.05, -0.05)
+        m = sp.csr_matrix(h.matrix)
+        x = np.zeros((tiny.dim, 1))
+        x[0, 0] = 1.0
+        base = _closure_groups(m, None, x)
+        changed = m.copy()
+        changed.data[changed.data != 0] = 0.0  # same stored pattern, no nonzeros
+        assert _closure_groups(changed, None, x) is not base
+        assert [len(r) for r, _ in _closure_groups(changed, None, x)] == [1]
+        moved = x.copy()
+        moved[0, 0], moved[1, 0] = 0.0, 1.0
+        assert _closure_groups(m, None, moved) is not base
+        assert len(propagate._CLOSURES) == 3
+
+    def test_spectral_norm_is_cached_on_content(self, sector, monkeypatch):
+        monkeypatch.setattr(propagate, "_NORMS", {})
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a):
+            calls.append(a.shape)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        op = full_hamiltonian(sector, PhysParams.dispersive(), 0.1, -0.1)
+        first = _spectral_norm(op)
+        assert calls
+        # an equal, newly built operator: no diagonalization
+        calls.clear()
+        assert _spectral_norm(full_hamiltonian(sector, PhysParams.dispersive(), 0.1, -0.1)) == first
+        assert calls == []
+        # one entry changed: a miss
+        m = op.matrix.copy()
+        m.data[0] += 0.25
+        changed = _spectral_norm(SparseOperator(sector, m))
+        assert calls
+        # the cached values are the uncached norms, exactly
+        for o, value in ((op, first), (SparseOperator(sector, m), changed)):
+            assert value == propagate._sector_norm(o.matrix.tocsr(), sector.excitations)
 
 
 class TestAmplitudeEvaluations:
@@ -1025,7 +1171,7 @@ class TestComposedStepMaps:
         gen = LindbladGenerator(sector, static, DecayParams(kappa=0.01, gamma=0.01),
                                 antisymmetric_drive(sector), DriveSchedule.adiabatic(0.05).amplitude)
         gen.evolve(matrix_units(sector), 0.04, n_steps=4)
-        assert loops == [("stages", 20981)]
+        assert loops == [("stages", 20491)]
 
 
 class TestKetClosures:
@@ -1103,11 +1249,13 @@ class TestChiralGauge:
         for got, op in ((block["l0"], h.static), (block["ld"], h.drive)):
             assert got.dtype == np.float64
             assert sparse_max(got - u @ (-1j * op.matrix) @ u.conj().T) == 0.0
-        # the detuning's imaginary diagonal keeps the dispersive block complex
+        # the detuning's imaginary diagonal keeps the dispersive block
+        # complex, in vec coordinates
         monkeypatch.undo()
         h = full_hamiltonian(sector, PhysParams.dispersive(), 0.1, -0.1)
         block = self.ket_block(monkeypatch, h, sector)
-        assert block.get("basis") is None
+        assert block["kind"] == "vec"
+        assert sparse_max(block["basis"] - sp.identity(sector.dim)) == 0.0
         assert block["l0"].dtype == np.complex128
 
     def test_lossy_resonant_channel_steps_in_one_real_loop(self, sector, monkeypatch):
@@ -1127,7 +1275,7 @@ class TestChiralGauge:
         monkeypatch.setattr(propagate, "_rk4_loop", record)
         n_steps = 4  # the closures, and so the system, do not depend on it
         gen.evolve(matrix_units(sector), 0.04, n_steps=n_steps)
-        assert loops == [(np.float64, 3568, 20981, n_steps)]
+        assert loops == [(np.float64, 3526, 20491, n_steps)]
         assert all(c["l0"].dtype == c["ld"].dtype == np.float64 for c in gen.chains)
 
 
