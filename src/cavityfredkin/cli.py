@@ -1,10 +1,11 @@
 """Experiment runner: single gate runs, parameter sweeps, CSV/JSON output.
 
 Configuration is a flat key = value text file plus command-line overrides;
-all rates are ratios to g (g = 1 internally).  Outputs carry the fully
-resolved configuration as a provenance header, and rerunning a config
-reproduces its files byte for byte except for the wall-clock diagnostic
-column.
+all rates are ratios to g (g = 1 internally).  Outputs carry the resolved
+configuration as a provenance header, and rerunning a config reproduces its
+files byte for byte except for the wall-clock diagnostic column.  Each
+scheme's point is resolved by :meth:`ExperimentConfig.for_scheme`, so the
+header of a sweep over several schemes leaves Delta, pulse and drive unset.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -96,32 +98,42 @@ class ExperimentConfig:
         return cls().updated(values)
 
     def updated(self, values: dict) -> "ExperimentConfig":
-        known = {f.name for f in fields(self)}
+        known = {f.name: f for f in fields(self)}
         converted = {}
         for key, val in values.items():
             if key not in known:
                 raise ConfigError(key, "unknown configuration key")
-            if val is None:
-                continue
-            converted[key] = _convert(key, val)
+            if val is not None:
+                converted[key] = _convert(known[key], val)
         return replace(self, **converted)
 
     # -- resolution ----------------------------------------------------
     def schemes(self) -> list:
         return [s.strip() for s in self.scheme.split(",") if s.strip()]
 
-    def drives(self, scheme: str) -> list:
-        if not str(self.Omega_over_g):
-            return [DEFAULT_DRIVE[scheme]]
-        out = []
-        for tok in str(self.Omega_over_g).split(","):
-            tok = tok.strip()
-            if tok:
-                out.append(float(tok))
-        return out
+    def drives(self) -> list:
+        return [float(tok) for tok in str(self.Omega_over_g).split(",") if tok.strip()]
+
+    def for_scheme(self, scheme: str, **values) -> "ExperimentConfig":
+        """Copy for one scheme with ``values`` set, its Delta, pulse and drive
+        defaults filled in and its pulse checked: the only place either happens."""
+        cfg = replace(self, scheme=scheme, **values)
+        cfg = replace(
+            cfg,
+            Delta_over_g=DEFAULT_DELTA[scheme] if cfg.Delta_over_g is None else cfg.Delta_over_g,
+            pulse=cfg.pulse or DEFAULT_PULSE[scheme],
+            Omega_over_g=cfg.Omega_over_g if str(cfg.Omega_over_g) else str(DEFAULT_DRIVE[scheme]),
+        )
+        if scheme == "dispersive" and cfg.pulse == "adiabatic":
+            raise ConfigError("pulse", "the dispersive scheme uses a constant drive")
+        if cfg.pulse not in ("adiabatic", "constant"):
+            raise ConfigError("pulse", f"unknown pulse {cfg.pulse!r}")
+        return cfg
 
     def resolved(self) -> "ExperimentConfig":
-        """Validated copy with every scheme-dependent default filled in."""
+        """Validated copy.  A single-scheme configuration is resolved for its
+        scheme; a sweep over several schemes leaves Delta, pulse and drive
+        unset, and each of its points is resolved for its own scheme."""
         cfg = self
         if cfg.preset:
             if cfg.preset not in PRESETS:
@@ -135,36 +147,22 @@ class ExperimentConfig:
             raise ConfigError("scheme", f"must be resonant and/or dispersive, got {cfg.scheme!r}")
         if cfg.task != "sweep" and len(schemes) > 1:
             raise ConfigError("scheme", "a single scheme is required outside sweeps")
-        if len(schemes) == 1:
-            s = schemes[0]
-            if cfg.Delta_over_g is None:
-                cfg = replace(cfg, Delta_over_g=DEFAULT_DELTA[s])
-            if not cfg.pulse:
-                cfg = replace(cfg, pulse=DEFAULT_PULSE[s])
-            if not str(cfg.Omega_over_g):
-                cfg = replace(cfg, Omega_over_g=str(DEFAULT_DRIVE[s]))
-            if s == "dispersive" and cfg.pulse == "adiabatic":
-                raise ConfigError("pulse", "the dispersive scheme uses a constant drive")
-            if cfg.pulse not in ("adiabatic", "constant"):
-                raise ConfigError("pulse", f"unknown pulse {cfg.pulse!r}")
+        points = [cfg.for_scheme(s) for s in schemes]
+        if len(points) == 1:
+            cfg = points[0]
         for name in ("J_over_g", "kappa_over_g", "gamma_over_g", "dt_over_invg"):
             if getattr(cfg, name) < 0:
                 raise ConfigError(name, "must be >= 0")
         if cfg.dt_over_invg == 0:
             raise ConfigError("dt_over_invg", "must be positive")
-        for s in schemes:
-            for om in cfg.drives(s):
-                if om <= 0:
-                    raise ConfigError("Omega_over_g", "drive strengths must be positive")
+        if any(om <= 0 for p in points for om in p.drives()):
+            raise ConfigError("Omega_over_g", "drive strengths must be positive")
         if cfg.fock_cap < 1:
             raise ConfigError("fock_cap", "must be >= 1")
         if cfg.sector_cap is not None and cfg.sector_cap < 0:
             raise ConfigError("sector_cap", "must be >= 0 or none")
-        if cfg.task != "sweep":
-            for sch in schemes:
-                if len(cfg.drives(sch)) > 1:
-                    raise ConfigError("Omega_over_g",
-                                      "a single drive strength is required outside sweeps")
+        if cfg.task != "sweep" and len(cfg.drives()) > 1:
+            raise ConfigError("Omega_over_g", "a single drive strength is required outside sweeps")
         if cfg.task == "sweep":
             if cfg.sweep_parameter not in SWEEPABLE:
                 raise ConfigError("sweep_parameter", f"must be one of {SWEEPABLE}")
@@ -177,6 +175,8 @@ class ExperimentConfig:
                 raise ConfigError("sweep_stop", "sweep range must be ascending")
             if cfg.sweep_parameter == "Omega_over_g" and cfg.sweep_start <= 0:
                 raise ConfigError("sweep_start", "drive strengths must be positive")
+            if cfg.sweep_parameter == "kappa_over_g" and cfg.sweep_start < 0:
+                raise ConfigError("sweep_start", "decay rates must be >= 0")
         if cfg.workers < 1:
             raise ConfigError("workers", "must be >= 1")
         if not cfg.output:
@@ -184,29 +184,22 @@ class ExperimentConfig:
         return cfg
 
 
-def _convert(key, val):
+def _convert(f, val):
+    """``val`` parsed by the annotation of the field ``f``."""
     text = str(val).strip()
+    kind = f.type.removeprefix("Optional[").removesuffix("]")
     try:
-        if key in ("scheme", "task", "pulse", "sweep_parameter", "preset",
-                   "output", "json_summary", "Omega_over_g"):
-            return text
-        if key == "sector_cap" or key == "Delta_over_g":
-            if text.lower() in ("none", ""):
-                return None
-            return int(text) if key == "sector_cap" else float(text)
-        if key == "gamma_equals_kappa":
-            if isinstance(val, bool):
-                return val
+        if kind != f.type and text.lower() in ("none", ""):
+            return None
+        if kind == "bool":
             if text.lower() in ("true", "1", "yes"):
                 return True
             if text.lower() in ("false", "0", "no"):
                 return False
             raise ValueError("expected a boolean")
-        if key in ("fock_cap", "sweep_points", "workers"):
-            return int(text)
-        return float(text)
+        return {"str": str, "int": int, "float": float}[kind](text)
     except ValueError as exc:
-        raise ConfigError(key, f"cannot parse {val!r}: {exc}") from None
+        raise ConfigError(f.name, f"cannot parse {val!r}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -224,48 +217,36 @@ def _fmt(x) -> str:
 _ROW_FORMAT = ",".join(["%.12g"] * 9) + "\n"
 
 
-def _provenance(cfg: ExperimentConfig) -> list:
-    lines = [f"# cavityfredkin {__version__}"]
-    for f in fields(cfg):
-        lines.append(f"# {f.name} = {_fmt(getattr(cfg, f.name))}")
-    return lines
+def _provenance(cfg: ExperimentConfig) -> str:
+    return f"# cavityfredkin {__version__}\n" + "".join(
+        f"# {name} = {_fmt(value)}\n" for name, value in asdict(cfg).items())
 
 
-def _schedule_for(scheme: str, pulse: str, omega: float) -> DriveSchedule:
-    if scheme == "dispersive":
-        return DriveSchedule.constant(omega, dispersive_gate_time(omega))
-    if pulse == "adiabatic":
-        return DriveSchedule.adiabatic(omega)
-    return DriveSchedule.constant(omega, resonant_gate_time(omega))
+def _gate(cfg: ExperimentConfig) -> tuple:
+    """The space, parameters, drive schedule and decay of one scheme's
+    point (a :meth:`ExperimentConfig.for_scheme` copy with one drive)."""
+    omega = cfg.drives()[0]
+    if cfg.scheme == "dispersive":
+        schedule = DriveSchedule.constant(omega, dispersive_gate_time(omega))
+    elif cfg.pulse == "adiabatic":
+        schedule = DriveSchedule.adiabatic(omega)
+    else:
+        schedule = DriveSchedule.constant(omega, resonant_gate_time(omega))
+    return (build_space(cfg.fock_cap, cfg.sector_cap),
+            PhysParams(g=1.0, J=cfg.J_over_g, delta=cfg.Delta_over_g), schedule,
+            DecayParams(kappa=cfg.kappa_over_g, gamma=cfg.gamma_over_g))
 
 
-def _params_for(cfg: ExperimentConfig, scheme: str) -> PhysParams:
-    delta = cfg.Delta_over_g if cfg.Delta_over_g is not None else DEFAULT_DELTA[scheme]
-    return PhysParams(g=1.0, J=cfg.J_over_g, delta=delta)
-
-
-def _fidelity_point(cfg_dict: dict) -> dict:
+def _fidelity_point(cfg: ExperimentConfig) -> dict:
     """One fidelity evaluation; module-level so worker processes can run it."""
-    cfg = ExperimentConfig(**cfg_dict)
-    scheme = cfg.scheme
-    omega = float(cfg.Omega_over_g)
-    pulse = cfg.pulse or DEFAULT_PULSE[scheme]
-    decay = DecayParams(kappa=cfg.kappa_over_g, gamma=cfg.gamma_over_g)
-    space = build_space(cfg.fock_cap, cfg.sector_cap)
+    space, params, schedule, decay = _gate(cfg)
     t0 = time.perf_counter()
-    ch = reconstruct_channel(
-        scheme,
-        _params_for(cfg, scheme),
-        _schedule_for(scheme, pulse, omega),
-        decay,
-        space=space,
-        dt=cfg.dt_over_invg,
-    )
-    fid = average_gate_fidelity(ch)
+    ch = reconstruct_channel(cfg.scheme, params, schedule, decay, space=space,
+                             dt=cfg.dt_over_invg)
     return {
-        "scheme": scheme,
-        "drive": omega,
-        "fidelity": fid,
+        "scheme": cfg.scheme,
+        "drive": schedule.peak,
+        "fidelity": average_gate_fidelity(ch),
         "leakage": ch.metadata["leakage"],
         "trace_drift": ch.metadata["trace_drift"],
         "seconds": time.perf_counter() - t0,
@@ -277,27 +258,14 @@ FIDELITY_COLUMNS = ("param", "scheme", "drive", "fidelity", "leakage", "trace_dr
 
 def _write_rows(path: str, cfg: ExperimentConfig, columns, rows):
     with open(path, "w") as fh:
-        for line in _provenance(cfg):
-            fh.write(line + "\n")
-        fh.write(",".join(columns) + "\n")
+        fh.write(_provenance(cfg) + ",".join(columns) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(row[c]) for c in columns) + "\n")
 
 
 def run_populations(cfg: ExperimentConfig) -> dict:
-    scheme = cfg.schemes()[0]
-    omega = cfg.drives(scheme)[0]
-    params = _params_for(cfg, scheme)
-    schedule = _schedule_for(scheme, cfg.pulse, omega)
-    decay = DecayParams(kappa=cfg.kappa_over_g, gamma=cfg.gamma_over_g)
-    space = build_space(cfg.fock_cap, cfg.sector_cap)
+    space, params, schedule, decay = _gate(cfg)
     h = scheme_hamiltonian(space, params, schedule)
-
-    qubit_atoms = ["".join("01"[a] for a in register_label(q)[:3]) for q in range(8)]
-    targets = [(a, "000") for a in qubit_atoms]
-    # the extension of the file name only: a dot in a directory name is not one
-    stem, ext = os.path.splitext(cfg.output)
-    ext = ext or ".csv"
     kets = np.stack([qubit_embedding(space, q) for q in range(8)], axis=1)
     if decay.dissipative:
         # one generator, one input at a time: eight sampled density series
@@ -306,82 +274,58 @@ def run_populations(cfg: ExperimentConfig) -> dict:
                                  schedule.total_time, dt=cfg.dt_over_invg)
     else:
         trajs = evolve_states(h, kets, schedule.total_time, dt=cfg.dt_over_invg)
+    # register states in vacuum, in register order
+    targets = ["".join("01"[a] for a in register_label(q)[:3]) for q in range(8)]
+    header = _provenance(cfg) + "t_in_invg," + ",".join(f"p_q{k}" for k in range(8)) + "\n"
+    # the extension of the file name only: a dot in a directory name is not one
+    stem, ext = os.path.splitext(cfg.output)
     files = []
     for q, traj in enumerate(trajs):
-        pops = population_series(traj, targets)
-        path = f"{stem}_from_q{q}{ext}"
+        table = np.column_stack([traj.times, *population_series(traj, targets).values()])
+        path = f"{stem}_from_q{q}{ext or '.csv'}"
         with open(path, "w") as fh:
-            for line in _provenance(cfg):
-                fh.write(line + "\n")
-            fh.write("t_in_invg," + ",".join(f"p_q{k}" for k in range(8)) + "\n")
-            table = np.column_stack([traj.times] + [pops[f"|{a}>|000>"] for a in qubit_atoms])
+            fh.write(header)
             fh.writelines(_ROW_FORMAT % tuple(row) for row in table.tolist())
         files.append(path)
     return {"task": "populations", "files": files, "gate_time": schedule.total_time}
 
 
 def run_fidelity(cfg: ExperimentConfig) -> dict:
-    scheme = cfg.schemes()[0]
-    omega = cfg.drives(scheme)[0]
-    point = _fidelity_point({**_cfg_dict(cfg), "scheme": scheme, "Omega_over_g": str(omega)})
-    row = {"param": omega, **point}
-    _write_rows(cfg.output, cfg, FIDELITY_COLUMNS, [row])
+    point = _fidelity_point(cfg)
+    _write_rows(cfg.output, cfg, FIDELITY_COLUMNS, [{"param": point["drive"], **point}])
     return {"task": "fidelity", "files": [cfg.output], **point}
 
 
 def run_sweep(cfg: ExperimentConfig) -> dict:
-    grid = np.linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_points)
+    drives = {s: cfg.for_scheme(s).drives() for s in cfg.schemes()}
     jobs = []
-    for value in grid:
-        for scheme in cfg.schemes():
-            for omega in cfg.drives(scheme):
-                point_cfg = {**_cfg_dict(cfg), "scheme": scheme,
-                             "Omega_over_g": str(omega)}
-                if cfg.sweep_parameter == "Omega_over_g":
-                    point_cfg["Omega_over_g"] = str(float(value))
-                else:
-                    point_cfg["kappa_over_g"] = float(value)
-                    if cfg.gamma_equals_kappa:
-                        point_cfg["gamma_over_g"] = float(value)
-                jobs.append((float(value), point_cfg))
+    for value in np.linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_points).tolist():
+        if cfg.sweep_parameter == "Omega_over_g":
+            swept = {"Omega_over_g": str(value)}
+        else:
+            swept = {"kappa_over_g": value}
+            if cfg.gamma_equals_kappa:
+                swept["gamma_over_g"] = value
+        jobs += [(value, cfg.for_scheme(s, **{"Omega_over_g": str(om), **swept}))
+                 for s, oms in drives.items() for om in oms]
 
-    results = [None] * len(jobs)
+    calls = [partial(_fidelity_point, point) for _, point in jobs]
     if cfg.workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            futures = [pool.submit(_fidelity_point, pc) for _, pc in jobs]
-            for i, fut in enumerate(futures):
-                try:
-                    results[i] = fut.result()
-                except Exception as exc:  # per-point failure: record, continue
-                    results[i] = _failed_point(jobs[i][1], exc)
-    else:
-        for i, (_, pc) in enumerate(jobs):
-            try:
-                results[i] = _fidelity_point(pc)
-            except Exception as exc:
-                results[i] = _failed_point(pc, exc)
-
-    rows = [{"param": val, **res} for (val, _), res in zip(jobs, results)]
+            calls = [pool.submit(_fidelity_point, point).result for _, point in jobs]
+    rows = []
+    for (value, point), call in zip(jobs, calls):
+        try:
+            result = call()
+        except Exception as exc:  # per-point failure: record, continue
+            print(f"sweep point failed ({point.scheme}, "
+                  f"Omega={point.Omega_over_g}): {exc}", file=sys.stderr)
+            result = {"scheme": point.scheme, "drive": point.drives()[0],
+                      **dict.fromkeys(FIDELITY_COLUMNS[3:], float("nan"))}
+        rows.append({"param": value, **result})
     rows.sort(key=lambda r: (r["param"], r["scheme"], r["drive"]))
     _write_rows(cfg.output, cfg, FIDELITY_COLUMNS, rows)
     return {"task": "sweep", "files": [cfg.output], "rows": rows}
-
-
-def _failed_point(point_cfg: dict, exc: Exception) -> dict:
-    print(f"sweep point failed ({point_cfg['scheme']}, "
-          f"Omega={point_cfg['Omega_over_g']}): {exc}", file=sys.stderr)
-    return {
-        "scheme": point_cfg["scheme"],
-        "drive": float(point_cfg["Omega_over_g"]),
-        "fidelity": float("nan"),
-        "leakage": float("nan"),
-        "trace_drift": float("nan"),
-        "seconds": float("nan"),
-    }
-
-
-def _cfg_dict(cfg: ExperimentConfig) -> dict:
-    return {f.name: getattr(cfg, f.name) for f in fields(cfg)}
 
 
 def run_experiment(config: ExperimentConfig) -> dict:
@@ -391,7 +335,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
     runner = {"populations": run_populations, "fidelity": run_fidelity,
               "sweep": run_sweep}[cfg.task]
     summary = runner(cfg)
-    summary["config"] = _cfg_dict(cfg)
+    summary["config"] = asdict(cfg)
     if cfg.json_summary:
         with open(cfg.json_summary, "w") as fh:
             json.dump(summary, fh, indent=2, default=_json_default)

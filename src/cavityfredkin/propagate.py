@@ -74,9 +74,6 @@ a time-dependent one stacks the closure blocks of all chains, one per column,
 into one block-diagonal system per dtype and steps it in a single loop.
 Indices outside a closure stay exactly zero, so the stepped path only drops
 terms L_ij * 0.0.
-On the 68-state sector the 36 register matrix units of channel
-reconstruction reach at most 1390 of the 2830 delta = 0 indices, and at
-most 718 once the chain is split by the mirror symmetry (below).
 
 The array is mirror-symmetric: U = (atom 1 <-> atom 3, cavity 1 <-> cavity 3)
 x (-1)^(N_photon + N_e) (:func:`~cavityfredkin.hilbert.mirror_map`) commutes
@@ -89,20 +86,19 @@ the gauged or plain vec entries below on delta != 0) with the combinations
 coordinate's eigenvalue +1 or -1 of S.  The generator's entries between
 the sectors are then rounding residue of about 1e-18; they are deleted,
 and each input column is propagated as two parts, one per sector, each on
-a closure inside its sector.  The three largest closures of a channel
-reconstruction (from |011><111|, |011><011| and |111><111|, in the +1
-sector) fall from 1390, 956 and 534 to 718, 494 and 276 indices, the
-summed d^3 of the powered delta = 0 closures from 3.71e9 to 5.12e8, and
-that of the complex dispersive delta != 0 closures from 3.48e7 (largest
-247) to 8.76e6 (largest 130).  The resonant step loop does about 20 k
-multiply-adds per stage (29 k unsplit, 751 k unpruned).  A mirror pair of
-inputs, such as |000><101| and |000><110|, is now propagated on the same
-closures, so the two images agree to 7e-18 (1.2e-12 when the delta != 0
-chains were powered unsplit).  A generator without the symmetry, e.g.
+a closure inside its sector.  On the 68-state sector the 36 register
+matrix units of channel reconstruction reach at most 718 of the 2830
+delta = 0 indices: the three largest closures (from |011><111|,
+|011><011| and |111><111|, in the +1 sector) hold 718, 494 and 276.  The
+powered delta = 0 closures sum to d^3 = 5.12e8, the complex dispersive
+delta != 0 closures to 8.76e6 (largest 130), and the resonant step loop
+does about 20 k multiply-adds per stage.  A mirror pair of inputs, such as
+|000><101| and |000><110|, is propagated on the same closures, so the two
+images agree to rounding.  A generator without the symmetry, e.g.
 with Omega_3 != -Omega_1, has cross-sector entries above 1e-12 of its
 largest entry in the summed matrices of a chain (:func:`_sector_split`
-checks every chain of every generator); that chain keeps one sector and is
-propagated as before.
+checks every chain of every generator); that chain keeps one sector, and
+its input columns are propagated whole.
 
 At Delta = 0 every entry of H0 and Hd flips the chiral parity
 pi = [atom 1 in e] + [atom 3 in e] + n_2 (:func:`~cavityfredkin.hilbert.chiral_parity`),
@@ -114,11 +110,10 @@ commutes with the mirror rotation.  Such a block is propagated like the
 delta = 0 chain: its input columns become real columns, and the all-zero
 half of each matrix unit is skipped.  The resonant channel's stepped
 closures of all five chains thus form one real system of 3526 rows and
-20 491 nonzeros per stage (3568 and 20 981 with unsplit delta != 0
-chains), stepped in one loop (three loops, two of them complex, without
-the gauge).  The detuning's imaginary diagonal keeps dispersive blocks
-complex, in vec coordinates (:func:`_first_block` tries the coordinates
-in turn); the dispersive ket block has the identity as its basis.
+20 491 nonzeros per stage, stepped in one loop.  The detuning's imaginary
+diagonal keeps dispersive blocks complex, in vec coordinates
+(:func:`_first_block` tries the coordinates in turn); the dispersive ket
+block has the identity as its basis.
 
 What depends only on the space is built once per space, on the first
 generator (:func:`_chain_structure`): the chain index sets, each chain's
@@ -706,6 +701,21 @@ def _dissipator_superop(jumps, ident) -> tuple:
     return ld.tocsr(), scale
 
 
+def _pair_rotation(partner: np.ndarray, c: np.ndarray, second: complex) -> sp.csr_matrix:
+    """Sparse unitary that keeps each coordinate p with partner[p] == p and
+    turns each pair p < q = partner[p] into (e_p + c[p] e_q)/sqrt2 at row p
+    and second * (e_p - c[q] e_q)/sqrt2 at row q (|c| = |second| = 1)."""
+    local = np.arange(len(partner))
+    fixed, first, last = partner == local, local < partner, local > partner
+    s = 1.0 / np.sqrt(2.0)
+    r = np.concatenate([local[fixed], local[first], local[first], local[last], local[last]])
+    col = np.concatenate([local[fixed], local[first], partner[first], partner[last], local[last]])
+    v = np.concatenate([np.ones(fixed.sum()), np.full(first.sum(), s), s * c[first],
+                        np.full(last.sum(), second * s), -second * s * c[last]])
+    return sp.csr_matrix((v, (r, col)), shape=(len(partner), len(partner)),
+                         dtype=np.result_type(c, second))
+
+
 def _hermitian_basis(idx: np.ndarray, dim: int) -> sp.csr_matrix:
     """Sparse unitary U on a transpose-closed set of row-major vec indices.
 
@@ -715,20 +725,8 @@ def _hermitian_basis(idx: np.ndarray, dim: int) -> sp.csr_matrix:
     rho is Hermitian.
     """
     rows, cols = np.divmod(idx, dim)
-    local = np.arange(len(idx))
     partner = np.searchsorted(idx, cols * dim + rows)  # local index of (j, i)
-    s = 1.0 / np.sqrt(2.0)
-    diag, upper, lower = rows == cols, rows < cols, rows > cols
-    r = np.concatenate([local[diag], local[upper], local[upper], local[lower], local[lower]])
-    c = np.concatenate([local[diag], local[upper], partner[upper], partner[lower], local[lower]])
-    v = np.concatenate([
-        np.ones(diag.sum()),
-        np.full(upper.sum(), s),
-        np.full(upper.sum(), s),
-        np.full(lower.sum(), 1j * s),
-        np.full(lower.sum(), -1j * s),
-    ])
-    return sp.csr_matrix((v, (r, c)), shape=(len(idx), len(idx)), dtype=complex)
+    return _pair_rotation(partner, np.ones(len(idx)), 1j)
 
 
 def _mirror_sectors(idx: np.ndarray, dim: int, perm: np.ndarray, sign: np.ndarray,
@@ -752,14 +750,8 @@ def _mirror_sectors(idx: np.ndarray, dim: int, perm: np.ndarray, sign: np.ndarra
     q = np.searchsorted(idx, np.where(flip, pc * dim + pr, pr * dim + pc))
     sig = sign[rows] * sign[cols] * np.where(flip & (rows > cols), -1.0, 1.0)
     local = np.arange(len(idx))
-    fixed, first, second = q == local, local < q, local > q
-    s = 1.0 / np.sqrt(2.0)
-    r = np.concatenate([local[fixed], local[first], local[first], local[second], local[second]])
-    c = np.concatenate([local[fixed], local[first], q[first], q[second], local[second]])
-    v = np.concatenate([np.ones(fixed.sum()), np.full(first.sum(), s), s * sig[first],
-                        np.full(second.sum(), s), -s * sig[second]])
-    sector = np.where(fixed, sig, np.where(first, 1.0, -1.0))
-    return sp.csr_matrix((v, (r, c)), shape=(len(idx), len(idx))), sector
+    sector = np.where(q == local, sig, np.where(local < q, 1.0, -1.0))
+    return _pair_rotation(q, sig, 1), sector
 
 
 def _sector_split(mats: list, sector: np.ndarray) -> np.ndarray:

@@ -346,15 +346,16 @@ def test_lossy_channel_is_mirror_symmetric(sector, scheme):
     """The array's mirror atom 1 <-> atom 3 acts on the register as the swap
     q1 <-> q3 in |q2 q1 q3>, and the channel commutes with it.
 
-    Mirror images such as |000><101| and |000><110| (delta = -1) were
-    powered on different closures through 31 416 dispersive steps, which
-    left them 1.2e-12 apart.  Every chain is now split into mirror sectors,
-    so both are propagated on the same sector closures: they agree to
-    7e-18, and the resonant images exactly."""
+    Every chain is split into mirror sectors, so mirror images such as
+    |000><101| and |000><110| (delta = -1) are propagated on the same
+    sector closures: they agree to 7e-18 dispersive (31 416 steps) and
+    exactly resonant.  Images powered on different closures would be about
+    1e-12 apart, which the bound of 1e-15 rejects."""
+    tol = 1e-15
     if scheme == "resonant":
-        params, sched, tol = PhysParams.resonant(), DriveSchedule.adiabatic(0.1), 1e-12
+        params, sched = PhysParams.resonant(), DriveSchedule.adiabatic(0.1)
     else:
-        params, tol = PhysParams.dispersive(), 5e-12
+        params = PhysParams.dispersive()
         sched = DriveSchedule.constant(0.1, dispersive_gate_time(0.1))
     ch = reconstruct_channel(scheme, params, sched, DecayParams(kappa=0.005, gamma=0.005),
                              space=sector)

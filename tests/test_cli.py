@@ -36,6 +36,8 @@ class TestConfig:
     def test_bad_value_is_named(self):
         with pytest.raises(ConfigError, match="kappa_over_g"):
             ExperimentConfig().updated({"kappa_over_g": "fast"})
+        with pytest.raises(ConfigError, match="gamma_equals_kappa.*expected a boolean"):
+            ExperimentConfig().updated({"gamma_equals_kappa": "maybe"})
 
     def test_file_roundtrip(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
@@ -45,12 +47,18 @@ class TestConfig:
             "kappa_over_g: 0.002   # trailing comment\n"
             "\n"
             "sector_cap = none\n"
+            "Delta_over_g = none\n"
+            "gamma_equals_kappa = yes\n"
+            "workers: 1\n"
         )
         cfg = ExperimentConfig.from_file(str(cfg_file))
         assert cfg.scheme == "dispersive"
         assert cfg.Omega_over_g == "0.1"
         assert cfg.kappa_over_g == 0.002
         assert cfg.sector_cap is None
+        assert cfg.Delta_over_g is None
+        assert cfg.gamma_equals_kappa is True
+        assert cfg.workers == 1
 
     def test_scheme_defaults(self):
         cfg = ExperimentConfig(scheme="dispersive").resolved()
@@ -86,6 +94,32 @@ class TestConfig:
     def test_negative_rate_rejected(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(kappa_over_g=-0.1).resolved()
+
+    def test_kappa_sweep_rejects_negative_start(self):
+        with pytest.raises(ConfigError, match="sweep_start"):
+            ExperimentConfig(task="sweep", scheme="dispersive", Omega_over_g="0.1",
+                             sweep_parameter="kappa_over_g", sweep_start=-0.002,
+                             sweep_stop=0.002, sweep_points=2).resolved()
+
+    @pytest.mark.parametrize("pulse", ["bogus", "adiabatic"])
+    def test_multi_scheme_sweep_checks_pulse(self, pulse):
+        """Every scheme of a sweep is checked, not only single-scheme configs:
+        an unknown pulse, or an adiabatic one for the dispersive scheme."""
+        with pytest.raises(ConfigError, match="pulse"):
+            ExperimentConfig(task="sweep", scheme="resonant,dispersive", pulse=pulse,
+                             sweep_parameter="Omega_over_g", sweep_start=0.09,
+                             sweep_stop=0.1, sweep_points=2).resolved()
+
+    def test_for_scheme_fills_defaults_and_keeps_values(self):
+        base = ExperimentConfig(task="sweep", scheme="resonant,dispersive",
+                                sweep_parameter="kappa_over_g", sweep_stop=0.01,
+                                sweep_points=2)
+        point = base.for_scheme("dispersive")
+        assert (point.scheme, point.Delta_over_g, point.pulse, point.Omega_over_g) == \
+            ("dispersive", 1.0, "constant", "0.02")
+        point = base.for_scheme("resonant", Omega_over_g="0.1", Delta_over_g=0.5)
+        assert (point.Delta_over_g, point.pulse, point.Omega_over_g) == (0.5, "adiabatic", "0.1")
+        assert base.resolved().pulse == "" and base.resolved().Delta_over_g is None
 
 
 @pytest.fixture(scope="module")
@@ -274,9 +308,9 @@ class TestSweepTask:
     def test_programmatic_grid_runs_its_values(self, tmp_path, monkeypatch):
         import cavityfredkin.cli as cli_mod
 
-        def fake_point(point_cfg):
-            return {"scheme": point_cfg["scheme"],
-                    "drive": float(point_cfg["Omega_over_g"]), "fidelity": 1.0,
+        def fake_point(point):
+            return {"scheme": point.scheme,
+                    "drive": float(point.Omega_over_g), "fidelity": 1.0,
                     "leakage": 0.0, "trace_drift": 0.0, "seconds": 0.0}
 
         monkeypatch.setattr(cli_mod, "_fidelity_point", fake_point)
@@ -286,15 +320,34 @@ class TestSweepTask:
         summary = sweep(cfg, "Omega_over_g", grid)
         assert [r["drive"] for r in summary["rows"]] == pytest.approx(grid, rel=1e-12)
 
+    def test_multi_scheme_rows_equal_single_scheme_rows(self, tmp_path):
+        """Each scheme of a sweep gets its own Delta and pulse defaults: the
+        two-scheme rows are the rows of the two one-scheme sweeps."""
+        def rows(scheme):
+            out = tmp_path / f"{scheme.replace(',', '_')}.csv"
+            run_experiment(ExperimentConfig(
+                task="sweep", scheme=scheme, sweep_parameter="Omega_over_g",
+                sweep_start=0.09, sweep_stop=0.1, sweep_points=2,
+                output=str(out), workers=1,
+            ))
+            _, columns, found = read_csv(str(out))
+            return [{c: r[c] for c in columns if c != "seconds"} for r in found]
+
+        both = rows("resonant,dispersive")
+        single = rows("resonant") + rows("dispersive")
+        key = lambda r: (float(r["param"]), r["scheme"])
+        assert len(both) == 4
+        assert both == sorted(single, key=key)
+
     def test_failed_point_recorded_in_row(self, tmp_path, monkeypatch, capsys):
         import cavityfredkin.cli as cli_mod
 
         real = cli_mod._fidelity_point
 
-        def flaky(point_cfg):
-            if float(point_cfg["Omega_over_g"]) < 0.09:
+        def flaky(point):
+            if float(point.Omega_over_g) < 0.09:
                 raise RuntimeError("synthetic point failure")
-            return real(point_cfg)
+            return real(point)
 
         monkeypatch.setattr(cli_mod, "_fidelity_point", flaky)
         out = tmp_path / "flaky.csv"
@@ -333,6 +386,15 @@ class TestMain:
                    "--output", str(tmp_path / "x.csv")])
         assert rc == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_bad_sweep_pulse_exits_2_without_output(self, tmp_path, capsys):
+        out = tmp_path / "never.csv"
+        rc = main(["sweep", "--scheme", "resonant,dispersive", "--pulse", "bogus",
+                   "--sweep_parameter", "Omega_over_g", "--sweep_start", "0.09",
+                   "--sweep_stop", "0.1", "--sweep_points", "2", "--output", str(out)])
+        assert rc == 2
+        assert "'pulse'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_config_file_with_override(self, tmp_path, capsys):
         cfg_file = tmp_path / "c.cfg"
