@@ -6,6 +6,14 @@ configuration as a provenance header, and rerunning a config reproduces its
 files byte for byte except for the wall-clock diagnostic column.  Each
 scheme's point is resolved by :meth:`ExperimentConfig.for_scheme`, so the
 header of a sweep over several schemes leaves Delta, pulse and drive unset.
+
+A sweep with ``workers`` > 1 and more than one point runs on the process's
+one sweep pool (:func:`_submit_points`): started by the first such sweep,
+reused while ``workers`` is unchanged, so each worker builds the constants
+of a space once for every later sweep of the process, and joined at
+interpreter exit.  A one-shot ``cavityfredkin sweep`` command starts cold
+workers all the same; in-process callers (``run_experiment``, ``sweep``)
+gain.  ``workers`` = 1 runs the points in a serial loop, without a pool.
 """
 
 from __future__ import annotations
@@ -14,8 +22,10 @@ import argparse
 import json
 import os
 import sys
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
 from typing import Optional
@@ -32,6 +42,7 @@ from cavityfredkin.hilbert import build_space, qubit_embedding, register_label
 from cavityfredkin.model import PhysParams
 from cavityfredkin.propagate import (
     DecayParams,
+    check_decay_dt,
     evolve_densities,
     evolve_states,
     population_series,
@@ -112,7 +123,10 @@ class ExperimentConfig:
         return [s.strip() for s in self.scheme.split(",") if s.strip()]
 
     def drives(self) -> list:
-        return [float(tok) for tok in str(self.Omega_over_g).split(",") if tok.strip()]
+        try:
+            return [float(tok) for tok in str(self.Omega_over_g).split(",") if tok.strip()]
+        except ValueError as exc:
+            raise ConfigError("Omega_over_g", f"cannot parse {self.Omega_over_g!r}: {exc}") from None
 
     def for_scheme(self, scheme: str, **values) -> "ExperimentConfig":
         """Copy for one scheme with ``values`` set, its Delta, pulse and drive
@@ -177,6 +191,17 @@ class ExperimentConfig:
                 raise ConfigError("sweep_start", "drive strengths must be positive")
             if cfg.sweep_parameter == "kappa_over_g" and cfg.sweep_start < 0:
                 raise ConfigError("sweep_start", "decay rates must be >= 0")
+        # the decay half of the dt rule, at the largest rates that will run
+        kappa, gamma = cfg.kappa_over_g, cfg.gamma_over_g
+        if cfg.task == "sweep" and cfg.sweep_parameter == "kappa_over_g":
+            kappa = cfg.sweep_stop
+            gamma = cfg.sweep_stop if cfg.gamma_equals_kappa else gamma
+        decay = DecayParams(kappa=kappa, gamma=gamma)
+        if decay.dissipative:
+            try:
+                check_decay_dt(cfg.dt_over_invg, build_space(cfg.fock_cap, cfg.sector_cap), decay)
+            except ValueError as exc:
+                raise ConfigError("dt_over_invg", str(exc)) from None
         if cfg.workers < 1:
             raise ConfigError("workers", "must be >= 1")
         if not cfg.output:
@@ -255,6 +280,38 @@ def _fidelity_point(cfg: ExperimentConfig) -> dict:
 
 FIDELITY_COLUMNS = ("param", "scheme", "drive", "fidelity", "leakage", "trace_drift", "seconds")
 
+#: the process's sweep pool as (workers, executor), None before the first
+#: pooled sweep (:func:`_submit_points`); ``_POOL_LOCK`` guards it
+_POOL: Optional[tuple] = None
+_POOL_LOCK = threading.Lock()
+
+
+def _submit_points(workers: int, points: list) -> list:
+    """Futures of :func:`_fidelity_point` on ``points`` from the process's
+    sweep pool of ``workers`` processes.
+
+    The pool is started on first use and kept: later sweeps with the same
+    ``workers`` reuse its processes and their per-process caches, and a
+    sweep with another count shuts it down and starts a new one.  The
+    workers run the module state they had when they were forked; later
+    changes in this process, monkeypatches included, do not reach them.  A
+    pool broken since the last sweep (a worker died: its points raised
+    ``BrokenProcessPool``) is replaced.  No exit hook of this module stops
+    the pool: the one of ``concurrent.futures`` joins its workers at
+    interpreter exit.
+    """
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is not None:
+            if _POOL[0] == workers:
+                try:
+                    return [_POOL[1].submit(_fidelity_point, point) for point in points]
+                except BrokenProcessPool:
+                    pass
+            _POOL[1].shutdown()
+        _POOL = (workers, ProcessPoolExecutor(max_workers=workers))
+        return [_POOL[1].submit(_fidelity_point, point) for point in points]
+
 
 def _write_rows(path: str, cfg: ExperimentConfig, columns, rows):
     with open(path, "w") as fh:
@@ -310,19 +367,25 @@ def run_sweep(cfg: ExperimentConfig) -> dict:
                  for s, oms in drives.items() for om in oms]
 
     calls = [partial(_fidelity_point, point) for _, point in jobs]
+    futures = []
     if cfg.workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            calls = [pool.submit(_fidelity_point, point).result for _, point in jobs]
+        futures = _submit_points(cfg.workers, [point for _, point in jobs])
+        calls = [future.result for future in futures]
     rows = []
-    for (value, point), call in zip(jobs, calls):
-        try:
-            result = call()
-        except Exception as exc:  # per-point failure: record, continue
-            print(f"sweep point failed ({point.scheme}, "
-                  f"Omega={point.Omega_over_g}): {exc}", file=sys.stderr)
-            result = {"scheme": point.scheme, "drive": point.drives()[0],
-                      **dict.fromkeys(FIDELITY_COLUMNS[3:], float("nan"))}
-        rows.append({"param": value, **result})
+    try:
+        for (value, point), call in zip(jobs, calls):
+            try:
+                result = call()
+            except Exception as exc:  # per-point failure: record, continue
+                print(f"sweep point failed ({point.scheme}, "
+                      f"Omega={point.Omega_over_g}): {exc}", file=sys.stderr)
+                result = {"scheme": point.scheme, "drive": point.drives()[0],
+                          **dict.fromkeys(FIDELITY_COLUMNS[3:], float("nan"))}
+            rows.append({"param": value, **result})
+    finally:
+        # an interrupted sweep leaves no queued points for the next one
+        for future in futures:
+            future.cancel()
     rows.sort(key=lambda r: (r["param"], r["scheme"], r["drive"]))
     _write_rows(cfg.output, cfg, FIDELITY_COLUMNS, rows)
     return {"task": "sweep", "files": [cfg.output], "rows": rows}

@@ -17,11 +17,11 @@ reports each run in one dict with the same keys for kets and densities:
 ``dt`` (the step used, T / n_steps), ``n_steps`` and ``drift``, the final
 norm or trace drift of each input; ``Trajectory.metadata`` adds ``space``.
 The dt rule (:func:`_check_dt`) is dt <= 0.05 / ||H||, and under a master
-equation also dt * sum_c r_c ||c^dag c|| <= 2.785 over the jump operators,
-RK4's stability interval on the negative real axis: a run that would
-overflow is rejected before its first step.  The ``_final`` and
-single-input names stay because the benchmark's tracer
-(``gatebench/tracing.py``) wraps them by name.
+equation also dt * sum_c r_c ||c^dag c|| <= 2.785 over the jump operators
+(:func:`check_decay_dt`, with :func:`decay_scale`), RK4's stability
+interval on the negative real axis: a run that would overflow is rejected
+before its first step.  The ``_final`` and single-input names stay because
+the benchmark's tracer (``gatebench/tracing.py``) wraps them by name.
 
 Density dynamics run on the excitation-sector decomposition of the operator
 space: the Lindblad generator conserves delta = C(row) - C(col) and never
@@ -325,8 +325,7 @@ def _hamiltonian_scale(static, drive, amp, t_final) -> float:
 
 def _check_dt(dt: float, hscale: float, gen: Optional["LindbladGenerator"] = None):
     """The dt rule of every run: dt <= 0.05 / ||H||, and under a master
-    equation dt * ``gen.decay_scale`` <= ``_RK4_REAL_LIMIT``, so that no
-    decay mode leaves RK4's stability interval on the negative real axis."""
+    equation the decay half, :func:`check_decay_dt`."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     if hscale > 0 and dt > 0.05 / hscale:
@@ -334,11 +333,22 @@ def _check_dt(dt: float, hscale: float, gen: Optional["LindbladGenerator"] = Non
             f"dt = {dt:g} too large for Hamiltonian scale {hscale:.3g}; "
             f"need dt <= {0.05 / hscale:.3g}"
         )
-    if gen is not None and dt * gen.decay_scale > _RK4_REAL_LIMIT:
+    if gen is not None:
+        check_decay_dt(dt, gen.space, gen.decay)
+
+
+def check_decay_dt(dt: float, space: HilbertSpace, decay: DecayParams):
+    """The decay half of the dt rule: dt * :func:`decay_scale` <=
+    ``_RK4_REAL_LIMIT``, so that no decay mode leaves RK4's stability
+    interval on the negative real axis; raises ValueError with the bound.
+    It depends on the rates and the space only, so a configuration can be
+    checked at its largest rates before it runs."""
+    scale = decay_scale(space, decay)
+    if dt * scale > _RK4_REAL_LIMIT:
         raise ValueError(
-            f"dt = {dt:g} too large for decay scale {gen.decay_scale:.3g} (kappa = "
-            f"{gen.decay.kappa:g}, gamma = {gen.decay.gamma:g}); "
-            f"need dt <= {_RK4_REAL_LIMIT / gen.decay_scale:.3g}"
+            f"dt = {dt:g} too large for decay scale {scale:.3g} (kappa = "
+            f"{decay.kappa:g}, gamma = {decay.gamma:g}); "
+            f"need dt <= {_RK4_REAL_LIMIT / scale:.3g}"
         )
 
 
@@ -678,27 +688,40 @@ def jump_operators(space: HilbertSpace, decay: DecayParams) -> list:
     return jumps
 
 
+@functools.lru_cache(maxsize=16)
+def _unit_decay_scales(space: HilbertSpace) -> tuple:
+    """:func:`decay_scale` of unit kappa and of unit gamma on ``space``."""
+    return tuple(sum(rate * float(abs(c.matrix.conj().T @ c.matrix).sum(axis=1).max())
+                     for rate, c in jump_operators(space, unit))
+                 for unit in (DecayParams(kappa=1.0), DecayParams(gamma=1.0)))
+
+
+def decay_scale(space: HilbertSpace, decay: DecayParams) -> float:
+    """sum_c r_c ||c^dag c|| over :func:`jump_operators`, the decay scale of
+    the dt rule (:func:`check_decay_dt`).  Each norm is the largest absolute
+    row sum of c^dag c, which equals it here: every c^dag c is diagonal.
+    Linear in the rates, from per-space sums of unit kappa and unit gamma."""
+    kappa, gamma = _unit_decay_scales(space)
+    return decay.kappa * kappa + decay.gamma * gamma
+
+
 def _commutator_superop(h: sp.spmatrix, ident: sp.spmatrix) -> sp.spmatrix:
     # row-major vec: vec(A rho B) = (A kron B^T) vec(rho)
     return (-1j * (sp.kron(h, ident) - sp.kron(ident, h.T))).tocsr()
 
 
-def _dissipator_superop(jumps, ident) -> tuple:
-    """The dissipator of ``jumps`` and its decay scale sum_r r ||c^dag c||,
-    each norm bounded by the largest absolute row sum of c^dag c (equal to
-    it for the diagonal c^dag c of :func:`jump_operators`)."""
+def _dissipator_superop(jumps, ident) -> sp.csr_matrix:
+    """The dissipator of ``jumps``."""
     dim2 = ident.shape[0] ** 2
     ld = sp.csr_matrix((dim2, dim2), dtype=complex)
-    scale = 0.0
     for rate, c in jumps:
         cm = c.matrix
         cdc = (cm.conj().T @ cm).tocsr()
-        scale += rate * float(abs(cdc).sum(axis=1).max())
         ld = ld + rate * (
             sp.kron(cm, cm.conj())
             - 0.5 * (sp.kron(cdc, ident) + sp.kron(ident, cdc.T))
         )
-    return ld.tocsr(), scale
+    return ld.tocsr()
 
 
 def _pair_rotation(partner: np.ndarray, c: np.ndarray, second: complex) -> sp.csr_matrix:
@@ -825,8 +848,7 @@ def _first_block(idx: np.ndarray, parts: list, coords: list, sector: np.ndarray,
 @functools.lru_cache(maxsize=16)
 def _chain_structure(space: HilbertSpace) -> tuple:
     """The parts of every master-equation generator on ``space`` that no
-    Hamiltonian or rate changes: the chains, and the decay scales
-    sum_r r ||c^dag c|| of unit kappa and of unit gamma.  Built on the first
+    Hamiltonian or rate changes: the chains.  Built on the first
     :class:`LindbladGenerator` of a space and shared by every later one.
 
     A chain is a dict with ``delta``, ``idx`` (its row-major vec indices),
@@ -864,8 +886,8 @@ def _chain_structure(space: HilbertSpace) -> tuple:
         idx.flags.writeable = sector.flags.writeable = False
         chains.append({"delta": int(d), "idx": idx, "sector": sector, "coords": coords,
                        "dissipators": [_real_part(basis @ m[idx][:, idx] @ back)
-                                       for m, _ in units]})
-    return chains, [scale for _, scale in units]
+                                       for m in units]})
+    return tuple(chains)
 
 
 def _closure_groups(l0: sp.spmatrix, ld: Optional[sp.spmatrix], x: np.ndarray) -> list:
@@ -949,9 +971,9 @@ class LindbladGenerator:
         self.decay = decay
         self.amplitude = amplitude
         self.drive = drive
-        chains, scales = _chain_structure(space)
-        #: sum_r r ||c^dag c|| over the jump operators, for :func:`_check_dt`
-        self.decay_scale = decay.kappa * scales[0] + decay.gamma * scales[1]
+        chains = _chain_structure(space)
+        #: sum_r r ||c^dag c|| over the jump operators (:func:`decay_scale`)
+        self.decay_scale = decay_scale(space, decay)
         ident = sp.identity(space.dim, format="csr", dtype=complex)
         hams = [None if h is None else _commutator_superop(h.matrix, ident)
                 for h in (static, drive)]

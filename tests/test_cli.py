@@ -1,8 +1,17 @@
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import cavityfredkin
+import cavityfredkin.cli as cli_mod
 from cavityfredkin.cli import (
     _ROW_FORMAT,
     ConfigError,
@@ -100,6 +109,16 @@ class TestConfig:
             ExperimentConfig(task="sweep", scheme="dispersive", Omega_over_g="0.1",
                              sweep_parameter="kappa_over_g", sweep_start=-0.002,
                              sweep_stop=0.002, sweep_points=2).resolved()
+
+    def test_kappa_sweep_dt_rule_counts_the_tied_gamma(self):
+        """At dt = 0.01 the decay scale 6 kappa + 3 gamma may reach 278.5:
+        kappa = 40 alone passes, kappa = gamma = 40 does not."""
+        base = ExperimentConfig(task="sweep", scheme="dispersive", Omega_over_g="0.1",
+                                sweep_parameter="kappa_over_g", sweep_stop=40.0,
+                                sweep_points=2)
+        base.resolved()
+        with pytest.raises(ConfigError, match="dt_over_invg.*decay scale 360"):
+            replace(base, gamma_equals_kappa=True).resolved()
 
     @pytest.mark.parametrize("pulse", ["bogus", "adiabatic"])
     def test_multi_scheme_sweep_checks_pulse(self, pulse):
@@ -240,6 +259,30 @@ class TestFidelityTask:
         assert len(rows[0]["fidelity"]) >= 12  # 12 significant digits requested
 
 
+def pooled_sweep_rows(out, workers, points=2):
+    """The rows of a two-scheme drive sweep on ``workers`` processes, without
+    the ``seconds`` column, as the sweep returns them (floats, not text)."""
+    summary = run_experiment(ExperimentConfig(
+        task="sweep", scheme="resonant,dispersive", sweep_parameter="Omega_over_g",
+        sweep_start=0.09, sweep_stop=0.1, sweep_points=points, output=str(out),
+        workers=workers,
+    ))
+    return [{c: v for c, v in row.items() if c != "seconds"} for row in summary["rows"]]
+
+
+@pytest.fixture
+def fresh_pool():
+    """No sweep pool before the test, and none left after it."""
+    def drop():
+        if cli_mod._POOL is not None:
+            cli_mod._POOL[1].shutdown()
+        cli_mod._POOL = None
+
+    drop()
+    yield
+    drop()
+
+
 class TestSweepTask:
     def test_omega_sweep_rows_ordered(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -255,22 +298,21 @@ class TestSweepTask:
         assert all(float(r["seconds"]) >= 0.0 for r in rows)
         assert len(summary["rows"]) == 2
 
-    def test_parallel_rows_match_serial(self, tmp_path):
-        """Pool workers and the serial loop write the same rows: per-process
-        constants carry no state between sweep points."""
-        rows = {}
-        for workers in (1, 2):
-            out = tmp_path / f"w{workers}.csv"
-            run_experiment(ExperimentConfig(
-                task="sweep", scheme="resonant,dispersive", sweep_parameter="Omega_over_g",
-                sweep_start=0.09, sweep_stop=0.1, sweep_points=2,
-                output=str(out), workers=workers,
-            ))
-            _, columns, rows[workers] = read_csv(str(out))
-        assert len(rows[1]) == 4
-        for serial, parallel in zip(rows[1], rows[2]):
-            assert {c: serial[c] for c in columns if c != "seconds"} == \
-                {c: parallel[c] for c in columns if c != "seconds"}
+    def test_parallel_rows_match_serial(self, tmp_path, fresh_pool):
+        """Pool workers and the serial loop return the same rows, bit for bit:
+        per-process constants carry no state between sweep points, nor
+        between sweeps.  The second pooled sweep runs on the first one's
+        pool and worker processes."""
+        serial = pooled_sweep_rows(tmp_path / "serial.csv", 1)
+        assert cli_mod._POOL is None  # the serial loop starts no pool
+        first = pooled_sweep_rows(tmp_path / "first.csv", 2)
+        pool = cli_mod._POOL[1]
+        pids = {p.pid for p in multiprocessing.active_children()}
+        again = pooled_sweep_rows(tmp_path / "again.csv", 2)
+        assert cli_mod._POOL[1] is pool and len(pids) == 2
+        assert {p.pid for p in multiprocessing.active_children()} == pids
+        assert len(serial) == 4
+        assert first == serial and again == serial
 
     def test_kappa_sweep_ties_gamma(self, tmp_path):
         out = tmp_path / "ks.csv"
@@ -364,6 +406,74 @@ class TestSweepTask:
         assert "synthetic point failure" in capsys.readouterr().err
 
 
+class TestSweepPool:
+    """One sweep pool per process, kept while ``workers`` is unchanged."""
+
+    def test_new_worker_count_replaces_the_pool(self, tmp_path, fresh_pool):
+        pooled_sweep_rows(tmp_path / "two.csv", 2)
+        old = cli_mod._POOL[1]
+        pooled_sweep_rows(tmp_path / "three.csv", 3)
+        assert cli_mod._POOL[0] == 3 and cli_mod._POOL[1] is not old
+        with pytest.raises(RuntimeError, match="shutdown"):
+            old.submit(os.getpid)
+
+    def test_broken_pool_is_replaced(self, tmp_path, fresh_pool):
+        serial = pooled_sweep_rows(tmp_path / "serial.csv", 1)
+        pooled_sweep_rows(tmp_path / "before.csv", 2)
+        broken = cli_mod._POOL[1]
+        with pytest.raises(BrokenProcessPool):
+            broken.submit(os._exit, 1).result(timeout=60)
+        rows = pooled_sweep_rows(tmp_path / "after.csv", 2)
+        assert cli_mod._POOL[1] is not broken
+        assert rows == serial
+
+    def test_interrupted_sweep_cancels_its_queued_points(self, tmp_path, fresh_pool,
+                                                         monkeypatch):
+        """An exception out of the collection loop cancels the points that
+        have not started, so the next sweep does not queue behind them."""
+        submitted = []
+        submit = cli_mod._submit_points
+
+        def recording(workers, points):
+            submitted.extend(submit(workers, points))
+            return submitted
+
+        def interrupted(future, timeout=None):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli_mod, "_submit_points", recording)
+        monkeypatch.setattr(Future, "result", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            pooled_sweep_rows(tmp_path / "cut.csv", 2, points=10)
+        monkeypatch.undo()
+        assert len(submitted) == 20
+        # the pool moves up to workers + 1 points into its call queue, where
+        # they can no longer be cancelled
+        assert sum(f.cancelled() for f in submitted) >= 10
+        rows = pooled_sweep_rows(tmp_path / "next.csv", 2)
+        assert all(np.isfinite(r["fidelity"]) for r in rows)
+
+    def test_workers_exit_with_the_interpreter(self, tmp_path):
+        code = (
+            "import multiprocessing, sys\n"
+            "from cavityfredkin.cli import ExperimentConfig, run_experiment\n"
+            "run_experiment(ExperimentConfig(task='sweep', scheme='dispersive',\n"
+            "    sweep_parameter='Omega_over_g', sweep_start=0.09, sweep_stop=0.1,\n"
+            "    sweep_points=2, workers=2, output=sys.argv[1]))\n"
+            "print(*[p.pid for p in multiprocessing.active_children()])\n"
+        )
+        src = os.path.dirname(os.path.dirname(cavityfredkin.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "s.csv")],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        pids = [int(tok) for tok in done.stdout.split()]
+        assert len(pids) == 2
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+
 class TestMain:
     def test_presets_subcommand(self, capsys):
         assert main(["presets"]) == 0
@@ -394,6 +504,26 @@ class TestMain:
                    "--sweep_stop", "0.1", "--sweep_points", "2", "--output", str(out)])
         assert rc == 2
         assert "'pulse'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unparsable_drive_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "never.csv"
+        rc = main(["fidelity", "--Omega_over_g", "abc", "--output", str(out)])
+        assert rc == 2
+        assert "'Omega_over_g'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_kappa_sweep_past_the_dt_rule_exits_2_without_output(self, tmp_path, capsys):
+        """The decay half of the dt rule is checked at the sweep's largest
+        rate, 500 g: decay scale 6 * 500 = 3000 on the 68-state space."""
+        out = tmp_path / "never.csv"
+        rc = main(["sweep", "--scheme", "dispersive", "--Omega_over_g", "0.1",
+                   "--sweep_parameter", "kappa_over_g", "--sweep_start", "0",
+                   "--sweep_stop", "500", "--sweep_points", "2", "--output", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "'dt_over_invg'" in err
+        assert "decay scale 3e+03 (kappa = 500, gamma = 0); need dt <= 0.000928" in err
         assert not out.exists()
 
     def test_config_file_with_override(self, tmp_path, capsys):

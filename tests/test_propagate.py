@@ -27,6 +27,7 @@ from cavityfredkin.propagate import (
     _rk4_map_terms,
     _rk4_taylor_step,
     _spectral_norm,
+    decay_scale,
     evolve_density,
     evolve_density_final,
     evolve_state,
@@ -463,6 +464,19 @@ class TestEvolveDensity:
         # 0.015 * 180 = 2.7 lies inside
         out, run = evolve_density_final(h, decay, rho0[None], 0.3, dt=0.015)
         assert run["n_steps"] == 20 and np.isfinite(out).all()
+
+    @pytest.mark.parametrize("kappa, gamma", [(60.0, 0.0), (0.0, 0.3), (0.004, 0.0123)])
+    def test_decay_scale_is_the_generators(self, tiny, kappa, gamma):
+        """The dt rule's decay scale comes from the jump operators without
+        building the chain structure, and the generator reads the same value."""
+        decay = DecayParams(kappa=kappa, gamma=gamma)
+        before = propagate._chain_structure.cache_info()
+        scale = decay_scale(tiny, decay)
+        assert propagate._chain_structure.cache_info() == before
+        assert scale == LindbladGenerator(tiny, SparseOperator.zero(tiny), decay).decay_scale
+        direct = sum(rate * float(abs(c.matrix.conj().T @ c.matrix).sum(axis=1).max())
+                     for rate, c in jump_operators(tiny, decay))
+        assert scale == pytest.approx(direct, rel=1e-15)
 
 
 class TestRealChainForm:
