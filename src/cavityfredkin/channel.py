@@ -157,7 +157,6 @@ def _oriented_pairs():
 
 
 def reconstruct_channel(
-    scheme: str,
     params: PhysParams,
     schedule: DriveSchedule,
     decay: DecayParams,
@@ -166,6 +165,12 @@ def reconstruct_channel(
     dt: float = DEFAULT_DT,
 ) -> QuantumChannel:
     """Evolve the register matrix units through a full gate run.
+
+    The gate is the one ``params`` and ``schedule`` define: the paper's two
+    schemes differ only in the detuning (``params.delta`` 0 resonant, g
+    dispersive), and which detuning suits which scheme is a rule of the
+    configuration (:meth:`cavityfredkin.cli.ExperimentConfig.resolved`),
+    not of the channel.
 
     The decay rates choose the route, recorded as ``metadata["method"]``:
     'state' (kappa = gamma = 0) propagates the 8 register kets and takes
@@ -181,13 +186,6 @@ def reconstruct_channel(
     (NaN).  Outer products of kets are completely positive by construction,
     so the state route is not checked.
     """
-    if scheme not in ("resonant", "dispersive"):
-        raise ValueError(f"scheme must be 'resonant' or 'dispersive', got {scheme!r}")
-    if scheme == "resonant" and params.delta != 0.0:
-        raise ValueError("resonant scheme requires delta = 0")
-    if scheme == "dispersive" and params.delta == 0.0:
-        raise ValueError("dispersive scheme requires a nonzero detuning")
-
     if space is None:
         space = build_space(fock_cap=2, sector_cap=2)
     h = scheme_hamiltonian(space, params, schedule)
@@ -228,7 +226,6 @@ def reconstruct_channel(
     return QuantumChannel(
         images=images,
         metadata={
-            "scheme": scheme,
             "params": params,
             "schedule": schedule,
             "decay": decay,

@@ -6,6 +6,10 @@ configuration as a provenance header, and rerunning a config reproduces its
 files byte for byte except for the wall-clock diagnostic column.  Each
 scheme's point is resolved by :meth:`ExperimentConfig.for_scheme`, so the
 header of a sweep over several schemes leaves Delta, pulse and drive unset.
+:meth:`ExperimentConfig.resolved` checks every point before any runs: the
+scheme's detuning (0 resonant, above 0 dispersive) and the dt rule
+(:func:`~cavityfredkin.propagate.check_dt`) at the points that bound all
+others.
 
 A sweep with ``workers`` > 1 and more than one point runs on the process's
 one sweep pool (:func:`_submit_points`): started by the first such sweep,
@@ -42,7 +46,7 @@ from cavityfredkin.hilbert import build_space, qubit_embedding, register_label
 from cavityfredkin.model import PhysParams
 from cavityfredkin.propagate import (
     DecayParams,
-    check_decay_dt,
+    check_dt,
     evolve_densities,
     evolve_states,
     population_series,
@@ -147,7 +151,9 @@ class ExperimentConfig:
     def resolved(self) -> "ExperimentConfig":
         """Validated copy.  A single-scheme configuration is resolved for its
         scheme; a sweep over several schemes leaves Delta, pulse and drive
-        unset, and each of its points is resolved for its own scheme."""
+        unset, and each of its points is resolved for its own scheme.  Every
+        scheme's Delta must suit it, and the dt rule must hold at each
+        scheme's smallest and largest drive at the largest rates."""
         cfg = self
         if cfg.preset:
             if cfg.preset not in PRESETS:
@@ -162,6 +168,11 @@ class ExperimentConfig:
         if cfg.task != "sweep" and len(schemes) > 1:
             raise ConfigError("scheme", "a single scheme is required outside sweeps")
         points = [cfg.for_scheme(s) for s in schemes]
+        for p in points:
+            need = "= 0" if p.scheme == "resonant" else "> 0"
+            if p.Delta_over_g < 0 or (p.Delta_over_g == 0) != (p.scheme == "resonant"):
+                raise ConfigError("Delta_over_g", f"the {p.scheme} scheme requires "
+                                  f"Delta_over_g {need}, got {p.Delta_over_g:g}")
         if len(points) == 1:
             cfg = points[0]
         for name in ("J_over_g", "kappa_over_g", "gamma_over_g", "dt_over_invg"):
@@ -191,17 +202,26 @@ class ExperimentConfig:
                 raise ConfigError("sweep_start", "drive strengths must be positive")
             if cfg.sweep_parameter == "kappa_over_g" and cfg.sweep_start < 0:
                 raise ConfigError("sweep_start", "decay rates must be >= 0")
-        # the decay half of the dt rule, at the largest rates that will run
+        # the dt rule at the points that bound every point: each scheme's
+        # smallest and largest drive at the largest rates.  ||H0 + Omega D||
+        # is convex in Omega, and the peak 2 Omega of the sin^2 pulse linear
         kappa, gamma = cfg.kappa_over_g, cfg.gamma_over_g
         if cfg.task == "sweep" and cfg.sweep_parameter == "kappa_over_g":
             kappa = cfg.sweep_stop
             gamma = cfg.sweep_stop if cfg.gamma_equals_kappa else gamma
-        decay = DecayParams(kappa=kappa, gamma=gamma)
-        if decay.dissipative:
-            try:
-                check_decay_dt(cfg.dt_over_invg, build_space(cfg.fock_cap, cfg.sector_cap), decay)
-            except ValueError as exc:
-                raise ConfigError("dt_over_invg", str(exc)) from None
+        for p in points:
+            drives = p.drives()
+            if cfg.task == "sweep" and cfg.sweep_parameter == "Omega_over_g":
+                drives = [cfg.sweep_start, cfg.sweep_stop]
+            for om in sorted({min(drives), max(drives)}):
+                space, params, schedule, decay = _gate(replace(
+                    p, Omega_over_g=str(om), kappa_over_g=kappa, gamma_over_g=gamma))
+                try:
+                    check_dt(scheme_hamiltonian(space, params, schedule),
+                             decay if decay.dissipative else None, schedule.total_time,
+                             cfg.dt_over_invg)
+                except ValueError as exc:
+                    raise ConfigError("dt_over_invg", str(exc)) from None
         if cfg.workers < 1:
             raise ConfigError("workers", "must be >= 1")
         if not cfg.output:
@@ -266,8 +286,7 @@ def _fidelity_point(cfg: ExperimentConfig) -> dict:
     """One fidelity evaluation; module-level so worker processes can run it."""
     space, params, schedule, decay = _gate(cfg)
     t0 = time.perf_counter()
-    ch = reconstruct_channel(cfg.scheme, params, schedule, decay, space=space,
-                             dt=cfg.dt_over_invg)
+    ch = reconstruct_channel(params, schedule, decay, space=space, dt=cfg.dt_over_invg)
     return {
         "scheme": cfg.scheme,
         "drive": schedule.peak,

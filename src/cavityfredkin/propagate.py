@@ -12,16 +12,18 @@ The entries are :func:`evolve_states` and :func:`evolve_densities` (one
 ones lazily), their final-state forms :func:`evolve_states_final` and
 :func:`evolve_density_final` (the final stack and a metadata dict), and
 the single-input :func:`evolve_state` and :func:`evolve_density`.  All run
-one path, :func:`_run`, which checks dt once, counts the steps once and
-reports each run in one dict with the same keys for kets and densities:
-``dt`` (the step used, T / n_steps), ``n_steps`` and ``drift``, the final
-norm or trace drift of each input; ``Trajectory.metadata`` adds ``space``.
-The dt rule (:func:`_check_dt`) is dt <= 0.05 / ||H||, and under a master
-equation also dt * sum_c r_c ||c^dag c|| <= 2.785 over the jump operators
-(:func:`check_decay_dt`, with :func:`decay_scale`), RK4's stability
-interval on the negative real axis: a run that would overflow is rejected
-before its first step.  The ``_final`` and single-input names stay because
-the benchmark's tracer (``gatebench/tracing.py``) wraps them by name.
+one path, :func:`_run`, which checks the inputs once (kets as a (dim, n)
+stack of unit columns, density operators as an (n, dim, dim) stack), checks
+dt once, counts the steps once and reports each run in one dict with the
+same keys for kets and densities: ``dt`` (the step used, T / n_steps),
+``n_steps`` and ``drift``, the final norm or trace drift of each input;
+``Trajectory.metadata`` adds ``space``.  The dt rule (:func:`check_dt`) is
+dt <= 0.05 / ||H||, and under a master equation also
+dt * sum_c r_c ||c^dag c|| <= 2.785 over the jump operators
+(:func:`decay_scale`), RK4's stability interval on the negative real axis:
+a run that would overflow is rejected before its first step.  The
+``_final`` and single-input names stay because the benchmark's tracer
+(``gatebench/tracing.py``) wraps them by name.
 
 Density dynamics run on the excitation-sector decomposition of the operator
 space: the Lindblad generator conserves delta = C(row) - C(col) and never
@@ -314,36 +316,30 @@ def _sector_norm(m: sp.csr_matrix, c: np.ndarray) -> float:
                 for idx in (np.flatnonzero(c == v) for v in np.unique(c))), default=0.0)
 
 
-def _hamiltonian_scale(static, drive, amp, t_final) -> float:
-    """||H0|| plus ||Hd|| times the largest |a(t)| on 257 probes over
-    [0, t_final], from one call of ``amp``."""
-    scale = _spectral_norm(static)
-    if drive is not None:
-        scale += float(np.abs(amp(np.linspace(0.0, t_final, 257))).max()) * _spectral_norm(drive)
-    return scale
+def check_dt(h: Union[SparseOperator, DrivenOperator], decay: Optional[DecayParams],
+             t_final: float, dt: float):
+    """The dt rule of every run, checked before its first step; raises
+    ValueError with the bound.
 
-
-def _check_dt(dt: float, hscale: float, gen: Optional["LindbladGenerator"] = None):
-    """The dt rule of every run: dt <= 0.05 / ||H||, and under a master
-    equation the decay half, :func:`check_decay_dt`."""
+    dt <= 0.05 / ||H||, with ||H|| = ||H0|| plus ||Hd|| times the largest
+    |a(t)| on 257 probes over [0, t_final] (one call of the drive), and
+    under a master equation (``decay`` not None) dt * :func:`decay_scale`
+    <= ``_RK4_REAL_LIMIT``, so that no decay mode leaves RK4's stability
+    interval on the negative real axis.  A configuration applies it to
+    the points that bound all of its points before any of them runs.
+    """
     if dt <= 0:
         raise ValueError("dt must be positive")
+    static, drive, amp = _parts(h)
+    hscale = _spectral_norm(static)
+    if drive is not None:
+        hscale += float(np.abs(amp(np.linspace(0.0, t_final, 257))).max()) * _spectral_norm(drive)
     if hscale > 0 and dt > 0.05 / hscale:
         raise ValueError(
             f"dt = {dt:g} too large for Hamiltonian scale {hscale:.3g}; "
             f"need dt <= {0.05 / hscale:.3g}"
         )
-    if gen is not None:
-        check_decay_dt(dt, gen.space, gen.decay)
-
-
-def check_decay_dt(dt: float, space: HilbertSpace, decay: DecayParams):
-    """The decay half of the dt rule: dt * :func:`decay_scale` <=
-    ``_RK4_REAL_LIMIT``, so that no decay mode leaves RK4's stability
-    interval on the negative real axis; raises ValueError with the bound.
-    It depends on the rates and the space only, so a configuration can be
-    checked at its largest rates before it runs."""
-    scale = decay_scale(space, decay)
+    scale = 0.0 if decay is None else decay_scale(static.space, decay)
     if dt * scale > _RK4_REAL_LIMIT:
         raise ValueError(
             f"dt = {dt:g} too large for decay scale {scale:.3g} (kappa = "
@@ -698,7 +694,7 @@ def _unit_decay_scales(space: HilbertSpace) -> tuple:
 
 def decay_scale(space: HilbertSpace, decay: DecayParams) -> float:
     """sum_c r_c ||c^dag c|| over :func:`jump_operators`, the decay scale of
-    the dt rule (:func:`check_decay_dt`).  Each norm is the largest absolute
+    the dt rule (:func:`check_dt`).  Each norm is the largest absolute
     row sum of c^dag c, which equals it here: every c^dag c is diagonal.
     Linear in the rates, from per-space sums of unit kappa and unit gamma."""
     kappa, gamma = _unit_decay_scales(space)
@@ -942,8 +938,9 @@ class LindbladGenerator:
 
     A generator has two parts.  What depends only on the space (the
     chains, their coordinates and the unit dissipators) is built once per
-    space; the commutators of ``static`` and ``drive`` are put into those
-    coordinates on each build, and the dissipator is
+    space; the commutators of the static and drive parts of ``h`` (a
+    :class:`SparseOperator` or :class:`DrivenOperator`, as the entries
+    take it) are put into those coordinates on each build, and the dissipator is
     kappa D_kappa + gamma D_gamma.  Each chain is a block of
     :func:`_propagate`, a dict with ``delta``, ``idx`` (its row-major vec
     indices; the chains partition the operator space), ``kind``, ``basis``,
@@ -959,26 +956,15 @@ class LindbladGenerator:
     (Delta = 0), and 'vec' otherwise, complex.
     """
 
-    def __init__(
-        self,
-        space: HilbertSpace,
-        static: SparseOperator,
-        decay: DecayParams,
-        drive: Optional[SparseOperator] = None,
-        amplitude: Optional[Callable] = None,
-    ):
-        self.space = space
+    def __init__(self, h: Union[SparseOperator, DrivenOperator], decay: DecayParams):
+        static, self.drive, self.amplitude = _parts(h)
+        self.space = static.space
         self.decay = decay
-        self.amplitude = amplitude
-        self.drive = drive
-        chains = _chain_structure(space)
-        #: sum_r r ||c^dag c|| over the jump operators (:func:`decay_scale`)
-        self.decay_scale = decay_scale(space, decay)
-        ident = sp.identity(space.dim, format="csr", dtype=complex)
-        hams = [None if h is None else _commutator_superop(h.matrix, ident)
-                for h in (static, drive)]
+        ident = sp.identity(self.space.dim, format="csr", dtype=complex)
+        hams = [None if op is None else _commutator_superop(op.matrix, ident)
+                for op in (static, self.drive)]
         self.chains = []
-        for chain in chains:
+        for chain in _chain_structure(self.space):
             idx = chain["idx"]
             block = _first_block(
                 idx, [None if m is None else m[idx][:, idx] for m in hams], chain["coords"],
@@ -995,45 +981,29 @@ class LindbladGenerator:
         return self.drive is None
 
     # -- integration ---------------------------------------------------
-    def evolve(
-        self,
-        rhos: np.ndarray,
-        t_final: float,
-        dt: float = DEFAULT_DT,
-        sample_steps: Optional[Sequence[int]] = None,
-        n_steps: Optional[int] = None,
-    ) -> tuple:
-        """Propagate a (n, dim, dim) stack; returns the (samples, n, dim, dim)
-        array of sampled stacks ((samples, dim, dim) for one (dim, dim) input)
-        and the final trace drift of each input.
+    def evolve(self, rhos: np.ndarray, t_final: float, n_steps: int,
+               sample_steps: Optional[Sequence[int]] = None) -> tuple:
+        """Propagate a complex (n, dim, dim) stack by ``n_steps`` RK4 steps
+        of t_final / n_steps; returns the (samples, n, dim, dim) array of
+        sampled stacks and the final trace drift of each input.
 
-        ``sample_steps`` indexes the requested RK4 steps (0 = initial state);
-        when None only the final state is returned, and a time-independent
-        generator is applied by repeated squaring of the one-step map.
-        ``n_steps`` defaults to :func:`_step_count` of ``dt``.  The
-        chains are the blocks of :func:`_propagate`.  Non-finite output, or
-        a trace of any input drifting by more than 1e-4, aborts with
-        :class:`IntegrationError`.  There is no dt check here: the entries
-        make it (:func:`_check_dt`).
+        ``sample_steps`` are the sorted, distinct RK4 steps to sample (0 =
+        the input); when None only the final state is returned, and a
+        time-independent generator is applied by repeated squaring of the
+        one-step map.  The chains are the blocks of :func:`_propagate`.
+        Non-finite output, or a trace of any input drifting by more than
+        1e-4, aborts with :class:`IntegrationError`.  The inputs and dt
+        are checked by :func:`_run`, not here.
         """
         dim = self.space.dim
-        rhos = np.asarray(rhos, dtype=complex)
-        squeeze = rhos.ndim == 2
-        if squeeze:
-            rhos = rhos[None]
         n = rhos.shape[0]
         vecd = rhos.reshape(n, dim * dim).T  # (dim^2, n)
-        if n_steps is None:
-            n_steps = _step_count(t_final, dt)
-        steps = None if sample_steps is None else sorted(set(int(s) for s in sample_steps))
-        out = _propagate(self.chains, vecd, t_final, n_steps, steps,
-                         None if self.is_constant else self.amplitude)
+        out = _propagate(self.chains, vecd, t_final, n_steps, sample_steps, self.amplitude)
         # the diagonal of rho sits at every (dim + 1)-th vec index
         drift = _check_drift("trace", out, out[:, :: dim + 1].sum(axis=1),
                              vecd[:: dim + 1].sum(axis=0), t_final / n_steps, self.decay)
         # a view: ``out`` holds each vec index's samples in one row
-        result = out.transpose(0, 2, 1).reshape(len(out), n, dim, dim)
-        return (result[:, 0] if squeeze else result), drift
+        return out.transpose(0, 2, 1).reshape(len(out), n, dim, dim), drift
 
 
 # ---------------------------------------------------------------------------
@@ -1058,27 +1028,33 @@ def _run(h, decay: Optional[DecayParams], batches, t_final: float, dt: float,
          n_samples: Optional[int]):
     """The one run path behind every propagation entry.
 
-    Builds the one :class:`LindbladGenerator` under ``decay`` (kets
-    without), checks dt (:func:`_check_dt`), counts the steps
-    (:func:`_step_count`) and the sample steps (:func:`_sample_steps`; None
-    without ``n_samples``: final state only), then propagates each input
-    stack of ``batches`` in turn: (dim, n) kets as one block with
-    A = -i H0 and B = -i Hd, or (n, dim, dim) density operators through
-    :meth:`LindbladGenerator.evolve`.  Yields, per stack, the
-    (samples, n, ...) states, the sample steps and the run's metadata:
-    ``dt`` (the step used, T / n_steps), ``n_steps`` and ``drift``, the
-    final norm or trace drift of each input as :func:`_check_drift`
-    returned it.
+    Checks dt (:func:`check_dt`), builds the one :class:`LindbladGenerator`
+    under ``decay`` (kets without), counts the steps (:func:`_step_count`)
+    and the sample steps (:func:`_sample_steps`; None without
+    ``n_samples``: final state only), then checks and propagates each input
+    stack of ``batches`` in turn: (dim, n) kets with unit columns as one
+    block with A = -i H0 and B = -i Hd, or (n, dim, dim) density operators
+    through :meth:`LindbladGenerator.evolve`; any other input raises
+    ValueError.  Yields, per stack, the (samples, n, ...) states, the
+    sample steps and the run's metadata: ``dt`` (the step used,
+    T / n_steps), ``n_steps`` and ``drift``, the final norm or trace drift
+    of each input as :func:`_check_drift` returned it.
     """
+    check_dt(h, decay, t_final, dt)
     static, drive, amp = _parts(h)
-    gen = None if decay is None else LindbladGenerator(static.space, static, decay, drive, amp)
-    _check_dt(dt, _hamiltonian_scale(static, drive, amp, t_final), gen)
+    dim = static.space.dim
+    gen = None if decay is None else LindbladGenerator(h, decay)
     n_steps = _step_count(t_final, dt)
     steps = None if n_samples is None else _sample_steps(n_steps, n_samples)
     if gen is None:
         block = _ket_block(static, drive)
     for x in batches:
+        x = np.asarray(x, dtype=complex)
         if gen is None:
+            if x.ndim != 2 or x.shape[0] != dim:
+                raise ValueError(f"kets must have shape ({dim}, n), got {x.shape}")
+            if np.abs(np.linalg.norm(x, axis=0) - 1.0).max() > 1e-8:
+                raise ValueError("every ket must be normalized")
             out = _propagate([block], x, t_final, n_steps, steps, amp)
             # squared norms per (sample, column) without a temporary of the stack's size
             parts = out.view(np.float64)  # real and imaginary parts interleaved
@@ -1087,7 +1063,10 @@ def _run(h, decay: Optional[DecayParams], batches, t_final: float, dt: float,
                                  t_final / n_steps)
             out = out.transpose(0, 2, 1)
         else:
-            out, drift = gen.evolve(x, t_final, dt, sample_steps=steps, n_steps=n_steps)
+            if x.shape[1:] != (dim, dim):
+                raise ValueError(f"density operators must have shape (n, {dim}, {dim}), "
+                                 f"got {x.shape}")
+            out, drift = gen.evolve(x, t_final, n_steps, steps)
         yield out, steps, {"dt": t_final / n_steps, "n_steps": n_steps, "drift": drift}
 
 
@@ -1114,12 +1093,6 @@ def evolve_states(
     returns it for that column alone.  Aborts with :class:`IntegrationError`
     if the norm of any column drifts by more than 1e-4 at any sample.
     """
-    space = _parts(h)[0].space
-    kets = np.asarray(kets, dtype=complex)
-    if kets.ndim != 2 or kets.shape[0] != space.dim:
-        raise ValueError(f"kets must have shape ({space.dim}, n)")
-    if np.abs(np.linalg.norm(kets, axis=0) - 1.0).max() > 1e-8:
-        raise ValueError("every ket must be normalized")
     return list(_trajectories(h, None, [kets], t_final, dt, n_samples))
 
 
@@ -1129,14 +1102,14 @@ def evolve_states_final(
     t_final: float,
     dt: float = DEFAULT_DT,
 ) -> tuple:
-    """Final states of a (dim, n) stack of kets, no intermediate samples, as
-    a (dim, n) array with the run's metadata (``dt``, ``n_steps`` and the
-    ``drift`` of each column).
+    """Final states of a (dim, n) stack of unit-norm kets, no intermediate
+    samples, as a (dim, n) array with the run's metadata (``dt``,
+    ``n_steps`` and the ``drift`` of each column).
 
     For a time-independent Hamiltonian the fixed linear RK4 step is applied
     by binary powering.
     """
-    states, _, run = next(_run(h, None, [np.asarray(kets, dtype=complex)], t_final, dt, None))
+    states, _, run = next(_run(h, None, [kets], t_final, dt, None))
     return states[0].T, run
 
 
@@ -1152,11 +1125,7 @@ def evolve_state(
     Aborts with :class:`IntegrationError` if the norm drifts by more than
     1e-4 at any sample; a healthy run keeps the final norm within 1e-6 of 1.
     """
-    dim = _parts(h)[0].space.dim
-    psi0 = np.asarray(psi0, dtype=complex)
-    if psi0.shape != (dim,):
-        raise ValueError(f"psi0 must have shape ({dim},)")
-    return evolve_states(h, psi0[:, None], t_final, dt, n_samples)[0]
+    return evolve_states(h, np.asarray(psi0)[:, None], t_final, dt, n_samples)[0]
 
 
 def evolve_densities(
@@ -1174,16 +1143,8 @@ def evolve_densities(
     a time, when asked for, so only one sampled series is held in memory.
     Each run aborts as :meth:`LindbladGenerator.evolve` does.
     """
-    dim = _parts(h)[0].space.dim
-
-    def inputs():
-        for rho0 in rhos:
-            rho0 = np.asarray(rho0, dtype=complex)
-            if rho0.shape != (dim, dim):
-                raise ValueError(f"rho0 must have shape ({dim}, {dim})")
-            yield rho0[None]
-
-    return _trajectories(h, decay, inputs(), t_final, dt, n_samples)
+    return _trajectories(h, decay, (np.asarray(rho0)[None] for rho0 in rhos),
+                         t_final, dt, n_samples)
 
 
 def evolve_density_final(
@@ -1200,7 +1161,7 @@ def evolve_density_final(
     evolve independently (the generator is linear), and a time-independent
     generator is applied by repeated squaring per closure.
     """
-    states, _, run = next(_run(h, decay, [np.asarray(rhos, dtype=complex)], t_final, dt, None))
+    states, _, run = next(_run(h, decay, [rhos], t_final, dt, None))
     return states[0], run
 
 

@@ -53,9 +53,7 @@ def gate_channel(scheme, omega, kappa=0.0, gamma=0.0):
     else:
         params = PhysParams.dispersive()
         schedule = DriveSchedule.constant(omega, dispersive_gate_time(omega))
-    return reconstruct_channel(
-        scheme, params, schedule, DecayParams(kappa=kappa, gamma=gamma), space=SECTOR
-    )
+    return reconstruct_channel(params, schedule, DecayParams(kappa=kappa, gamma=gamma), space=SECTOR)
 
 
 @pytest.fixture(scope="module")

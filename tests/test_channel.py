@@ -123,7 +123,6 @@ class TestAverageGateFidelity:
 @pytest.fixture(scope="module")
 def resonant_channel(sector):
     return reconstruct_channel(
-        "resonant",
         PhysParams.resonant(),
         DriveSchedule.adiabatic(0.05),
         DecayParams(),
@@ -178,7 +177,7 @@ class TestReconstructChannel:
         # images come from the master equation on the 36 oriented matrix units
         params = PhysParams.resonant()
         sched = DriveSchedule.adiabatic(0.1)
-        ch_s = reconstruct_channel("resonant", params, sched, DecayParams(), space=sector)
+        ch_s = reconstruct_channel(params, sched, DecayParams(), space=sector)
         assert ch_s.metadata["method"] == "state"
         reg = [qubit_basis_index(sector, q) for q in range(8)]
         pairs = _oriented_pairs()
@@ -196,7 +195,7 @@ class TestReconstructChannel:
         (DecayParams(gamma=0.01), "density"),
     ])
     def test_route_follows_decay_rates(self, sector, decay, method):
-        ch = reconstruct_channel("resonant", PhysParams.resonant(), DriveSchedule.adiabatic(0.1),
+        ch = reconstruct_channel(PhysParams.resonant(), DriveSchedule.adiabatic(0.1),
                                  decay, space=sector)
         assert ch.metadata["method"] == method
         assert ("qubit_matrix" in ch.metadata) == (method == "state")
@@ -209,7 +208,7 @@ class TestReconstructChannel:
     def test_metadata_records_the_step_used(self, sector, decay, dt):
         # 76.953 / 0.01 is not whole: the run takes 7696 steps of 0.0099991
         params, sched = PhysParams.resonant(), DriveSchedule.adiabatic(0.05)
-        ch = reconstruct_channel("resonant", params, sched, decay, space=sector, dt=dt)
+        ch = reconstruct_channel(params, sched, decay, space=sector, dt=dt)
         h = scheme_hamiltonian(sector, params, sched)
         if decay.dissipative:
             # one unit of the channel's master-equation run, over its T and dt
@@ -250,7 +249,7 @@ class TestReconstructChannel:
         monkeypatch.setattr(propagate, "_propagate", no_step)
         with pytest.raises(ValueError, match="kappa = 1000"):
             reconstruct_channel(
-                "resonant", PhysParams.resonant(), DriveSchedule.adiabatic(0.1),
+                PhysParams.resonant(), DriveSchedule.adiabatic(0.1),
                 DecayParams(kappa=1000.0), space=sector,
             )
 
@@ -265,7 +264,7 @@ class TestReconstructChannel:
 
         monkeypatch.setattr(channel, "evolve_density_final", blown_up)
         ch = reconstruct_channel(
-            "resonant", PhysParams.resonant(), DriveSchedule.adiabatic(0.1),
+            PhysParams.resonant(), DriveSchedule.adiabatic(0.1),
             DecayParams(kappa=0.01), space=sector,
         )
         assert np.isnan(ch.metadata["trace_drift"])
@@ -275,8 +274,7 @@ class TestReconstructChannel:
     def test_density_route_checks_complete_positivity(self, sector, monkeypatch):
         import cavityfredkin.channel as channel
 
-        args = ("resonant", PhysParams.resonant(), DriveSchedule.adiabatic(0.1),
-                DecayParams(kappa=0.01))
+        args = (PhysParams.resonant(), DriveSchedule.adiabatic(0.1), DecayParams(kappa=0.01))
         ch = reconstruct_channel(*args, space=sector)
         value = ch.metadata["choi_min_eig"]
         assert value == np.linalg.eigvalsh(ch.choi_matrix()).min()
@@ -296,16 +294,6 @@ class TestReconstructChannel:
         assert resonant_channel.metadata["method"] == "state"
         assert "choi_min_eig" not in resonant_channel.metadata
 
-    def test_validation(self, sector):
-        with pytest.raises(ValueError, match="scheme"):
-            reconstruct_channel(
-                "other", PhysParams.resonant(), DriveSchedule.adiabatic(0.05), DecayParams()
-            )
-        with pytest.raises(ValueError, match="delta"):
-            reconstruct_channel(
-                "resonant", PhysParams.dispersive(), DriveSchedule.adiabatic(0.05), DecayParams()
-            )
-
 
 def pauli_einsum_fidelity(images, u):
     """The Pauli sum of average_gate_fidelity as three-operand einsums."""
@@ -319,7 +307,7 @@ def pauli_einsum_fidelity(images, u):
 def test_fidelity_matches_pauli_einsum(sector, decay):
     """The kernel's dot product agrees with the einsum form, for the
     default ideal (whose kernel is built once) and for another gate."""
-    ch = reconstruct_channel("resonant", PhysParams.resonant(), DriveSchedule.adiabatic(0.1),
+    ch = reconstruct_channel(PhysParams.resonant(), DriveSchedule.adiabatic(0.1),
                              decay, space=sector)
     u = fredkin_ideal().matrix
     assert abs(average_gate_fidelity(ch) - pauli_einsum_fidelity(ch.images, u)) < 1e-14
@@ -331,10 +319,10 @@ def test_fidelity_matches_pauli_einsum(sector, decay):
 def test_repeated_run_is_bit_identical(sector):
     """The per-process constants (space, unit terms, fidelity kernel) carry no
     state from one run to the next."""
-    args = ("resonant", PhysParams.resonant(), DriveSchedule.adiabatic(0.1), DecayParams())
+    args = (PhysParams.resonant(), DriveSchedule.adiabatic(0.1), DecayParams())
     first = reconstruct_channel(*args, space=sector)
     fid = average_gate_fidelity(first)
-    reconstruct_channel("dispersive", PhysParams.dispersive(),
+    reconstruct_channel(PhysParams.dispersive(),
                         DriveSchedule.constant(0.1, dispersive_gate_time(0.1)), DecayParams())
     again = reconstruct_channel(*args, space=build_space(2, 2))
     assert np.array_equal(again.images, first.images)
@@ -357,7 +345,7 @@ def test_lossy_channel_is_mirror_symmetric(sector, scheme):
     else:
         params = PhysParams.dispersive()
         sched = DriveSchedule.constant(0.1, dispersive_gate_time(0.1))
-    ch = reconstruct_channel(scheme, params, sched, DecayParams(kappa=0.005, gamma=0.005),
+    ch = reconstruct_channel(params, sched, DecayParams(kappa=0.005, gamma=0.005),
                              space=sector)
     pi = np.array([4 * (q >> 2) + 2 * (q & 1) + ((q >> 1) & 1) for q in range(8)])
     mirrored = ch.images[pi][:, pi][:, :, pi][:, :, :, pi]
@@ -375,7 +363,6 @@ class TestTruncationConvergence:
             # high-photon sectors raise the spectral norm: step accordingly
             space = build_space(fock_cap=cap)
             ch = reconstruct_channel(
-                "resonant",
                 PhysParams.resonant(),
                 DriveSchedule.adiabatic(0.1),
                 DecayParams(),
@@ -389,11 +376,11 @@ class TestTruncationConvergence:
         params = PhysParams.resonant()
         sched = DriveSchedule.adiabatic(0.1)
         f_sector = average_gate_fidelity(
-            reconstruct_channel("resonant", params, sched, DecayParams(), space=sector, dt=0.005)
+            reconstruct_channel(params, sched, DecayParams(), space=sector, dt=0.005)
         )
         f_full = average_gate_fidelity(
             reconstruct_channel(
-                "resonant", params, sched, DecayParams(), space=build_space(2), dt=0.005
+                params, sched, DecayParams(), space=build_space(2), dt=0.005
             )
         )
         assert abs(f_sector - f_full) < 1e-8

@@ -120,6 +120,20 @@ class TestConfig:
         with pytest.raises(ConfigError, match="dt_over_invg.*decay scale 360"):
             replace(base, gamma_equals_kappa=True).resolved()
 
+    def test_dt_rule_is_checked_at_the_largest_drive(self):
+        """The Hamiltonian half of the dt rule bounds every point by each
+        scheme's largest drive: at dt = 0.012 the resonant pulse passes at
+        0.05 g (scale 4.01, dt <= 0.0125) and not at 0.1 g (scale 4.21)."""
+        base = ExperimentConfig(task="sweep", scheme="resonant", dt_over_invg=0.012,
+                                sweep_parameter="Omega_over_g", sweep_start=0.04,
+                                sweep_stop=0.05, sweep_points=2)
+        base.resolved()
+        with pytest.raises(ConfigError, match="dt_over_invg.*Hamiltonian scale 4.21"):
+            replace(base, sweep_stop=0.1).resolved()
+        with pytest.raises(ConfigError, match="dt_over_invg.*Hamiltonian scale 4.21"):
+            replace(base, Omega_over_g="0.05,0.1", sweep_parameter="kappa_over_g",
+                    sweep_start=0.0, sweep_stop=0.001).resolved()
+
     @pytest.mark.parametrize("pulse", ["bogus", "adiabatic"])
     def test_multi_scheme_sweep_checks_pulse(self, pulse):
         """Every scheme of a sweep is checked, not only single-scheme configs:
@@ -474,6 +488,11 @@ class TestSweepPool:
                 os.kill(pid, 0)
 
 
+#: the arguments of a two-point drive sweep
+DRIVE_SWEEP = ["--sweep_parameter", "Omega_over_g", "--sweep_start", "0.09",
+               "--sweep_stop", "0.1", "--sweep_points", "2"]
+
+
 class TestMain:
     def test_presets_subcommand(self, capsys):
         assert main(["presets"]) == 0
@@ -525,6 +544,32 @@ class TestMain:
         assert "'dt_over_invg'" in err
         assert "decay scale 3e+03 (kappa = 500, gamma = 0); need dt <= 0.000928" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["fidelity", "--scheme", "resonant", "--Delta_over_g", "0.5"],
+         "'Delta_over_g': the resonant scheme requires Delta_over_g = 0, got 0.5"),
+        (["sweep", "--scheme", "resonant", "--Delta_over_g", "0.5", *DRIVE_SWEEP],
+         "'Delta_over_g': the resonant scheme requires Delta_over_g = 0, got 0.5"),
+        (["populations", "--scheme", "resonant", "--Delta_over_g", "0.5"],
+         "'Delta_over_g': the resonant scheme requires Delta_over_g = 0, got 0.5"),
+        (["fidelity", "--scheme", "dispersive", "--Delta_over_g", "0"],
+         "'Delta_over_g': the dispersive scheme requires Delta_over_g > 0, got 0"),
+        (["sweep", "--Delta_over_g", "-1", *DRIVE_SWEEP],
+         "'Delta_over_g': the resonant scheme requires Delta_over_g = 0, got -1"),
+        (["fidelity", "--dt_over_invg", "0.1"],
+         "'dt_over_invg': dt = 0.1 too large for Hamiltonian scale 4.01"),
+        (["sweep", "--scheme", "resonant,dispersive", "--dt_over_invg", "0.1", *DRIVE_SWEEP],
+         "'dt_over_invg': dt = 0.1 too large for Hamiltonian scale 4.17"),
+    ], ids=["resonant-delta-fidelity", "resonant-delta-sweep", "resonant-delta-populations",
+            "dispersive-zero-delta", "negative-delta", "dt-fidelity", "dt-sweep"])
+    def test_bad_gate_input_exits_2_without_output(self, tmp_path, capsys, argv, message):
+        """A detuning that does not suit the scheme, and a dt that breaks the
+        dt rule at any point, are configuration errors: no point runs and no
+        file is written (they used to run, or write NaN rows and exit 0)."""
+        rc = main(argv + ["--output", str(tmp_path / "never.csv")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_config_file_with_override(self, tmp_path, capsys):
         cfg_file = tmp_path / "c.cfg"

@@ -27,6 +27,7 @@ from cavityfredkin.propagate import (
     _rk4_map_terms,
     _rk4_taylor_step,
     _spectral_norm,
+    check_dt,
     decay_scale,
     evolve_density,
     evolve_density_final,
@@ -221,9 +222,14 @@ class TestEvolveStates:
             assert traj.metadata["n_steps"] == alone.metadata["n_steps"]
 
     def test_rejects_unnormalized_column(self, sector):
+        h = SparseOperator.zero(sector)
         kets = np.stack([qubit_embedding(sector, 0), 2 * qubit_embedding(sector, 1)], axis=1)
-        with pytest.raises(ValueError, match="normalized"):
-            evolve_states(SparseOperator.zero(sector), kets, 1.0)
+        for entry in (evolve_states, evolve_states_final):
+            with pytest.raises(ValueError, match="normalized"):
+                entry(h, kets, 1.0)
+            # one ket is a (dim, 1) stack, not a (dim,) vector
+            with pytest.raises(ValueError, match=r"kets must have shape \(68, n\), got \(68,\)"):
+                entry(h, kets[:, 0], 1.0)
 
     def test_drift_abort_names_the_column(self):
         space = two_level_space()
@@ -380,18 +386,16 @@ class TestEvolveDensity:
         decay = DecayParams(kappa=0.02, gamma=0.02)
         psi0 = qubit_embedding(tiny, 5)
         rho0 = np.outer(psi0, psi0.conj())
-        gen = LindbladGenerator(tiny, h, decay)
+        gen = LindbladGenerator(h, decay)
         t_final = 8.0
         n_steps = 1 << 10
-        powered = gen.evolve(rho0, t_final, n_steps=None, dt=t_final / n_steps)[0][0]
-        stepped = gen.evolve(
-            rho0, t_final, dt=t_final / n_steps, sample_steps=[n_steps], n_steps=n_steps
-        )[0][0]
+        powered = gen.evolve(rho0[None], t_final, n_steps)[0][0, 0]
+        stepped = gen.evolve(rho0[None], t_final, n_steps, sample_steps=[n_steps])[0][0, 0]
         assert np.abs(powered - stepped).max() < 1e-12
 
     def test_sector_chains_partition_operator_space(self, tiny):
         h = full_hamiltonian(tiny, PhysParams.resonant(), 0.02, -0.02)
-        gen = LindbladGenerator(tiny, h, DecayParams(kappa=0.1, gamma=0.1))
+        gen = LindbladGenerator(h, DecayParams(kappa=0.1, gamma=0.1))
         counts = sum(len(c["idx"]) for c in gen.chains)
         assert counts == tiny.dim**2
         union = np.sort(np.concatenate([c["idx"] for c in gen.chains]))
@@ -415,9 +419,9 @@ class TestEvolveDensity:
         decay = DecayParams(kappa=60.0)
         i = tiny.state_index("000", "001")
         rho0 = np.outer(tiny.basis_vector(i), tiny.basis_vector(i))
-        gen = LindbladGenerator(tiny, h, decay)
+        gen = LindbladGenerator(h, decay)
         with pytest.raises(IntegrationError, match="trace drift"):
-            gen.evolve(rho0, 10.0, dt=0.05, sample_steps=range(201))
+            gen.evolve(rho0[None], 10.0, 200, sample_steps=range(201))
 
     def test_trace_drift_abort_on_non_hermitian_input(self, tiny):
         # the trace of every input is checked, not only of Hermitian ones: a
@@ -429,11 +433,11 @@ class TestEvolveDensity:
         i, j = tiny.state_index("000", "001"), tiny.state_index("000", "000")
         x = np.zeros((tiny.dim, tiny.dim), dtype=complex)
         x[i, i] = x[j, i] = 1.0
-        gen = LindbladGenerator(tiny, h, decay)
+        gen = LindbladGenerator(h, decay)
         with pytest.raises(IntegrationError, match="trace drift"):
-            gen.evolve(x, 12.8, dt=0.05, sample_steps=range(257))
+            gen.evolve(x[None], 12.8, 256, sample_steps=range(257))
         with pytest.raises(IntegrationError, match="trace drift"):
-            gen.evolve(x[None], 12.8, dt=0.05)
+            gen.evolve(x[None], 12.8, 256)
 
     # the run overflows on purpose; numpy warns before the abort
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -443,10 +447,10 @@ class TestEvolveDensity:
         h, t_gate = resonant_drive(tiny, 0.1)
         i = tiny.state_index("000", "001")
         rho0 = np.outer(tiny.basis_vector(i), tiny.basis_vector(i))
-        gen = LindbladGenerator(tiny, h.static, DecayParams(kappa=1000.0), h.drive, h.amplitude)
+        gen = LindbladGenerator(h, DecayParams(kappa=1000.0))
         message = r"non-finite output in input column 0; .*used 0\.0.*kappa = 1000"
         with pytest.raises(IntegrationError, match=message):
-            gen.evolve(rho0[None], t_gate)
+            gen.evolve(rho0[None], t_gate, propagate._step_count(t_gate, 0.01))
 
     def test_dt_check_bounds_the_decay_rates(self, tiny):
         # three cavities at kappa = 60 with ||a^dag a|| = 1 give the decay
@@ -465,15 +469,29 @@ class TestEvolveDensity:
         out, run = evolve_density_final(h, decay, rho0[None], 0.3, dt=0.015)
         assert run["n_steps"] == 20 and np.isfinite(out).all()
 
+    def test_rejects_inputs_of_another_shape(self, tiny):
+        # the final-state entry takes an (n, dim, dim) stack only; a single
+        # (dim, dim) matrix used to fail inside with "cannot reshape"
+        h = SparseOperator.zero(tiny)
+        decay = DecayParams(kappa=0.1)
+        with pytest.raises(ValueError, match=r"shape \(n, 17, 17\), got \(17, 17\)"):
+            evolve_density_final(h, decay, np.eye(tiny.dim), 1.0)
+        with pytest.raises(ValueError, match=r"shape \(n, 17, 17\), got \(1, 17\)"):
+            evolve_density(h, decay, np.eye(tiny.dim)[0], 1.0)
+
     @pytest.mark.parametrize("kappa, gamma", [(60.0, 0.0), (0.0, 0.3), (0.004, 0.0123)])
     def test_decay_scale_is_the_generators(self, tiny, kappa, gamma):
         """The dt rule's decay scale comes from the jump operators without
-        building the chain structure, and the generator reads the same value."""
+        building the chain structure, and the dt rule reads the same value:
+        it takes dt up to 2.785 / scale and rejects dt beyond it."""
         decay = DecayParams(kappa=kappa, gamma=gamma)
         before = propagate._chain_structure.cache_info()
         scale = decay_scale(tiny, decay)
+        zero = SparseOperator.zero(tiny)
+        check_dt(zero, decay, 1.0, 0.999 * propagate._RK4_REAL_LIMIT / scale)
+        with pytest.raises(ValueError, match=f"decay scale {scale:.3g} "):
+            check_dt(zero, decay, 1.0, 1.001 * propagate._RK4_REAL_LIMIT / scale)
         assert propagate._chain_structure.cache_info() == before
-        assert scale == LindbladGenerator(tiny, SparseOperator.zero(tiny), decay).decay_scale
         direct = sum(rate * float(abs(c.matrix.conj().T @ c.matrix).sum(axis=1).max())
                      for rate, c in jump_operators(tiny, decay))
         assert scale == pytest.approx(direct, rel=1e-15)
@@ -488,12 +506,12 @@ class TestRealChainForm:
     def test_basis_unitary_and_generators_real(self, sector, scheme):
         decay = DecayParams(kappa=0.01, gamma=0.02)
         if scheme == "resonant":
-            drive_h, _ = resonant_drive(sector, 0.05)
-            static, drive = drive_h.static, drive_h.drive
+            h, _ = resonant_drive(sector, 0.05)
+            static, drive = h.static, h.drive
         else:
-            static = full_hamiltonian(sector, PhysParams.dispersive(), 0.1, -0.1)
+            h = static = full_hamiltonian(sector, PhysParams.dispersive(), 0.1, -0.1)
             drive = None
-        gen = LindbladGenerator(sector, static, decay, drive, None)
+        gen = LindbladGenerator(h, decay)
         l0 = vectorized_generator(sector, static, decay)
         zero = DecayParams()
         ld = vectorized_generator(sector, drive, zero) if drive is not None else None
@@ -533,7 +551,7 @@ class TestRealChainForm:
 
     def test_hermitian_input_has_real_coordinates(self, sector):
         h = full_hamiltonian(sector, PhysParams.dispersive(), 0.1, -0.1)
-        gen = LindbladGenerator(sector, h, DecayParams())
+        gen = LindbladGenerator(h, DecayParams())
         (chain,) = [c for c in gen.chains if c["delta"] == 0]
         rng = np.random.default_rng(5)
         a = rng.standard_normal((sector.dim, sector.dim)) + 1j * rng.standard_normal((sector.dim, sector.dim))
@@ -544,7 +562,7 @@ class TestRealChainForm:
         h = full_hamiltonian(tiny, PhysParams.resonant(), 0.05, -0.05)
         skew = SparseOperator(tiny, h.matrix + sp.triu(h.matrix, k=1))
         with pytest.raises(ValueError, match="Hermiticity"):
-            LindbladGenerator(tiny, skew, DecayParams(kappa=0.1))
+            LindbladGenerator(skew, DecayParams(kappa=0.1))
 
     def test_dispersive_final_states_match_complex_step_map(self, sector):
         """Real-coordinate powering against the complex RK4 step map of the
@@ -583,10 +601,10 @@ def lossy_generator(space, path, decay):
     if path == "stepped":
         sched = DriveSchedule.adiabatic(0.5)
         static = full_hamiltonian(space, PhysParams.resonant(), 0.0, 0.0)
-        gen = LindbladGenerator(space, static, decay, antisymmetric_drive(space), sched.amplitude)
-        return gen, sched.total_time, 400
+        h = DrivenOperator(static, antisymmetric_drive(space), sched.amplitude)
+        return LindbladGenerator(h, decay), sched.total_time, 400
     h = full_hamiltonian(space, PhysParams.dispersive(), 0.1, -0.1)
-    return LindbladGenerator(space, h, decay), 1.6, 32
+    return LindbladGenerator(h, decay), 1.6, 32
 
 
 def chain_inputs(chain, units):
@@ -788,7 +806,7 @@ class TestMirrorSectors:
         # the lossy_dispersive configuration: before the split the largest
         # closure was 1390 and the summed d^3 of the delta = 0 closures 3.71e9
         h = full_hamiltonian(sector, PhysParams.dispersive(), 0.1, -0.1)
-        gen = LindbladGenerator(sector, h, DecayParams(kappa=0.006, gamma=0.006))
+        gen = LindbladGenerator(h, DecayParams(kappa=0.006, gamma=0.006))
         sizes = []
         powered = propagate._powered_samples
 
@@ -806,7 +824,7 @@ class TestMirrorSectors:
         # the lossy_dispersive configuration: the complex delta != 0 chains
         # are split too; unsplit, their powered closures summed 3.48e7 d^3
         h = full_hamiltonian(sector, PhysParams.dispersive(), 0.1, -0.1)
-        gen = LindbladGenerator(sector, h, DecayParams(kappa=0.006, gamma=0.006))
+        gen = LindbladGenerator(h, DecayParams(kappa=0.006, gamma=0.006))
         assert [c["kind"] for c in gen.chains] == ["vec", "vec", "hermitian", "vec", "vec"]
         sizes = []
         powered = propagate._powered_samples
@@ -825,14 +843,14 @@ class TestMirrorSectors:
         # Omega_3 = +Omega_1 breaks the mirror: no split, same dynamics
         h = full_hamiltonian(tiny, PhysParams.resonant(), 0.05, 0.05)
         decay = DecayParams(kappa=0.05, gamma=0.03)
-        chains = LindbladGenerator(tiny, h, decay).chains
+        chains = LindbladGenerator(h, decay).chains
         assert len(chains) == 3
         for chain in chains:
             assert np.all(chain["sector"] == 1.0)
         # on the 68-state sector too, with the dispersive detuning
         space = build_space(fock_cap=2, sector_cap=2)
         h_dispersive = full_hamiltonian(space, PhysParams.dispersive(), 0.1, 0.1)
-        chains = LindbladGenerator(space, h_dispersive, decay).chains
+        chains = LindbladGenerator(h_dispersive, decay).chains
         assert len(chains) == 5
         for chain in chains:
             assert np.all(chain["sector"] == 1.0)
@@ -873,7 +891,7 @@ class TestChainStructure:
                         continue
                     expect = u @ full[idx][:, idx] @ u.conj().T
                     assert sparse_max(got - expect) <= 1e-15 * sparse_max(expect)
-            assert gen.decay_scale == pytest.approx(6 * rate + 3 * rate, rel=1e-15)
+            assert decay_scale(sector, decay) == pytest.approx(6 * rate + 3 * rate, rel=1e-15)
 
 
 def gen_static(space, path):
@@ -970,7 +988,8 @@ class TestAmplitudeEvaluations:
         sched = DriveSchedule.adiabatic(0.1)
         amp, calls = self.counting(sched)
         static = full_hamiltonian(tiny, PhysParams.resonant(), 0.0, 0.0)
-        gen = LindbladGenerator(tiny, static, DecayParams(kappa=0.05), antisymmetric_drive(tiny), amp)
+        gen = LindbladGenerator(DrivenOperator(static, antisymmetric_drive(tiny), amp),
+                                DecayParams(kappa=0.05))
         units = np.zeros((3, tiny.dim, tiny.dim), dtype=complex)
         units[0, 0, 0] = units[1, 1, 1] = units[2, 2, 1] = 1.0
         n_steps = 50
@@ -1182,8 +1201,8 @@ class TestComposedStepMaps:
         assert loops == [("map", 1235)]
         loops.clear()
         static = full_hamiltonian(sector, PhysParams.resonant(), 0.0, 0.0)
-        gen = LindbladGenerator(sector, static, DecayParams(kappa=0.01, gamma=0.01),
-                                antisymmetric_drive(sector), DriveSchedule.adiabatic(0.05).amplitude)
+        h = DrivenOperator(static, antisymmetric_drive(sector), DriveSchedule.adiabatic(0.05).amplitude)
+        gen = LindbladGenerator(h, DecayParams(kappa=0.01, gamma=0.01))
         gen.evolve(matrix_units(sector), 0.04, n_steps=4)
         assert loops == [("stages", 20491)]
 
@@ -1277,8 +1296,8 @@ class TestChiralGauge:
         # chains, one sparse product per RK4 stage (3 loops before the gauge)
         sched = DriveSchedule.adiabatic(0.05)
         static = full_hamiltonian(sector, PhysParams.resonant(), 0.0, 0.0)
-        gen = LindbladGenerator(sector, static, DecayParams(kappa=0.01, gamma=0.01),
-                                antisymmetric_drive(sector), sched.amplitude)
+        gen = LindbladGenerator(DrivenOperator(static, antisymmetric_drive(sector), sched.amplitude),
+                                DecayParams(kappa=0.01, gamma=0.01))
         loops = []
         loop = propagate._rk4_loop
 
