@@ -6,18 +6,19 @@ configuration as a provenance header, and rerunning a config reproduces its
 files byte for byte except for the wall-clock diagnostic column.  Each
 scheme's point is resolved by :meth:`ExperimentConfig.for_scheme`, so the
 header of a sweep over several schemes leaves Delta, pulse and drive unset.
-:meth:`ExperimentConfig.resolved` checks every point before any runs: the
+:meth:`ExperimentConfig.points` lists the points a configuration runs, and
+:meth:`ExperimentConfig.resolved` checks each of them before any runs: the
 scheme's detuning (0 resonant, above 0 dispersive) and the dt rule
-(:func:`~cavityfredkin.propagate.check_dt`) at the points that bound all
-others.
+(:func:`~cavityfredkin.propagate.check_dt`).  Every gate runs on the
+register's closed excitation sector, ``build_space(2, 2)``.
 
 A sweep with ``workers`` > 1 and more than one point runs on the process's
 one sweep pool (:func:`_submit_points`): started by the first such sweep,
 reused while ``workers`` is unchanged, so each worker builds the constants
 of a space once for every later sweep of the process, and joined at
 interpreter exit.  A one-shot ``cavityfredkin sweep`` command starts cold
-workers all the same; in-process callers (``run_experiment``, ``sweep``)
-gain.  ``workers`` = 1 runs the points in a serial loop, without a pool.
+workers all the same; in-process callers of ``run_experiment`` gain.
+``workers`` = 1 runs the points in a serial loop, without a pool.
 """
 
 from __future__ import annotations
@@ -84,8 +85,6 @@ class ExperimentConfig:
     gamma_over_g: float = 0.0
     gamma_equals_kappa: bool = False
     pulse: str = ""  # default: adiabatic resonant, constant dispersive
-    fock_cap: int = 2
-    sector_cap: Optional[int] = 2
     dt_over_invg: float = 0.01
     sweep_parameter: str = ""
     sweep_start: float = 0.0
@@ -128,9 +127,12 @@ class ExperimentConfig:
 
     def drives(self) -> list:
         try:
-            return [float(tok) for tok in str(self.Omega_over_g).split(",") if tok.strip()]
+            drives = [float(tok) for tok in str(self.Omega_over_g).split(",") if tok.strip()]
+            if not drives or not np.isfinite(drives).all():
+                raise ValueError("need finite drive strengths")
         except ValueError as exc:
             raise ConfigError("Omega_over_g", f"cannot parse {self.Omega_over_g!r}: {exc}") from None
+        return drives
 
     def for_scheme(self, scheme: str, **values) -> "ExperimentConfig":
         """Copy for one scheme with ``values`` set, its Delta, pulse and drive
@@ -148,12 +150,35 @@ class ExperimentConfig:
             raise ConfigError("pulse", f"unknown pulse {cfg.pulse!r}")
         return cfg
 
+    def points(self) -> list:
+        """The (param, point) pairs this configuration runs, in run order.
+
+        Outside sweeps the one point, its param the drive.  In a sweep each
+        grid value, then each scheme, then each of its drives, every point
+        resolved by :meth:`for_scheme`: the only place the grid is built and
+        ``gamma_equals_kappa`` is read."""
+        if self.task != "sweep":
+            point = self.for_scheme(self.scheme)
+            return [(point.drives()[0], point)]
+        drives = {s: self.for_scheme(s).drives() for s in self.schemes()}
+        points = []
+        for value in np.linspace(self.sweep_start, self.sweep_stop, self.sweep_points).tolist():
+            if self.sweep_parameter == "Omega_over_g":
+                swept = {"Omega_over_g": str(value)}
+            else:
+                swept = {"kappa_over_g": value}
+                if self.gamma_equals_kappa:
+                    swept["gamma_over_g"] = value
+            points += [(value, self.for_scheme(s, **{"Omega_over_g": str(om), **swept}))
+                       for s, oms in drives.items() for om in oms]
+        return points
+
     def resolved(self) -> "ExperimentConfig":
         """Validated copy.  A single-scheme configuration is resolved for its
         scheme; a sweep over several schemes leaves Delta, pulse and drive
         unset, and each of its points is resolved for its own scheme.  Every
-        scheme's Delta must suit it, and the dt rule must hold at each
-        scheme's smallest and largest drive at the largest rates."""
+        point of :meth:`points` is checked before any runs: its Delta must
+        suit its scheme, and the dt rule must hold."""
         cfg = self
         if cfg.preset:
             if cfg.preset not in PRESETS:
@@ -167,25 +192,14 @@ class ExperimentConfig:
             raise ConfigError("scheme", f"must be resonant and/or dispersive, got {cfg.scheme!r}")
         if cfg.task != "sweep" and len(schemes) > 1:
             raise ConfigError("scheme", "a single scheme is required outside sweeps")
-        points = [cfg.for_scheme(s) for s in schemes]
-        for p in points:
-            need = "= 0" if p.scheme == "resonant" else "> 0"
-            if p.Delta_over_g < 0 or (p.Delta_over_g == 0) != (p.scheme == "resonant"):
-                raise ConfigError("Delta_over_g", f"the {p.scheme} scheme requires "
-                                  f"Delta_over_g {need}, got {p.Delta_over_g:g}")
-        if len(points) == 1:
-            cfg = points[0]
-        for name in ("J_over_g", "kappa_over_g", "gamma_over_g", "dt_over_invg"):
+        scheme_points = [cfg.for_scheme(s) for s in schemes]
+        if len(scheme_points) == 1:
+            cfg = scheme_points[0]
+        for name in ("J_over_g", "kappa_over_g", "gamma_over_g"):
             if getattr(cfg, name) < 0:
                 raise ConfigError(name, "must be >= 0")
-        if cfg.dt_over_invg == 0:
-            raise ConfigError("dt_over_invg", "must be positive")
-        if any(om <= 0 for p in points for om in p.drives()):
+        if any(om <= 0 for p in scheme_points for om in p.drives()):
             raise ConfigError("Omega_over_g", "drive strengths must be positive")
-        if cfg.fock_cap < 1:
-            raise ConfigError("fock_cap", "must be >= 1")
-        if cfg.sector_cap is not None and cfg.sector_cap < 0:
-            raise ConfigError("sector_cap", "must be >= 0 or none")
         if cfg.task != "sweep" and len(cfg.drives()) > 1:
             raise ConfigError("Omega_over_g", "a single drive strength is required outside sweeps")
         if cfg.task == "sweep":
@@ -202,26 +216,18 @@ class ExperimentConfig:
                 raise ConfigError("sweep_start", "drive strengths must be positive")
             if cfg.sweep_parameter == "kappa_over_g" and cfg.sweep_start < 0:
                 raise ConfigError("sweep_start", "decay rates must be >= 0")
-        # the dt rule at the points that bound every point: each scheme's
-        # smallest and largest drive at the largest rates.  ||H0 + Omega D||
-        # is convex in Omega, and the peak 2 Omega of the sin^2 pulse linear
-        kappa, gamma = cfg.kappa_over_g, cfg.gamma_over_g
-        if cfg.task == "sweep" and cfg.sweep_parameter == "kappa_over_g":
-            kappa = cfg.sweep_stop
-            gamma = cfg.sweep_stop if cfg.gamma_equals_kappa else gamma
-        for p in points:
-            drives = p.drives()
-            if cfg.task == "sweep" and cfg.sweep_parameter == "Omega_over_g":
-                drives = [cfg.sweep_start, cfg.sweep_stop]
-            for om in sorted({min(drives), max(drives)}):
-                space, params, schedule, decay = _gate(replace(
-                    p, Omega_over_g=str(om), kappa_over_g=kappa, gamma_over_g=gamma))
-                try:
-                    check_dt(scheme_hamiltonian(space, params, schedule),
-                             decay if decay.dissipative else None, schedule.total_time,
-                             cfg.dt_over_invg)
-                except ValueError as exc:
-                    raise ConfigError("dt_over_invg", str(exc)) from None
+        for _, p in cfg.points():
+            need = "= 0" if p.scheme == "resonant" else "> 0"
+            if p.Delta_over_g < 0 or (p.Delta_over_g == 0) != (p.scheme == "resonant"):
+                raise ConfigError("Delta_over_g", f"the {p.scheme} scheme requires "
+                                  f"Delta_over_g {need}, got {p.Delta_over_g:g}")
+            space, params, schedule, decay = _gate(p)
+            try:
+                check_dt(scheme_hamiltonian(space, params, schedule),
+                         decay if decay.dissipative else None, schedule.total_time,
+                         p.dt_over_invg)
+            except ValueError as exc:
+                raise ConfigError("dt_over_invg", str(exc)) from None
         if cfg.workers < 1:
             raise ConfigError("workers", "must be >= 1")
         if not cfg.output:
@@ -242,7 +248,10 @@ def _convert(f, val):
             if text.lower() in ("false", "0", "no"):
                 return False
             raise ValueError("expected a boolean")
-        return {"str": str, "int": int, "float": float}[kind](text)
+        value = {"str": str, "int": int, "float": float}[kind](text)
+        if kind == "float" and not np.isfinite(value):
+            raise ValueError("must be finite")
+        return value
     except ValueError as exc:
         raise ConfigError(f.name, f"cannot parse {val!r}: {exc}") from None
 
@@ -277,7 +286,7 @@ def _gate(cfg: ExperimentConfig) -> tuple:
         schedule = DriveSchedule.adiabatic(omega)
     else:
         schedule = DriveSchedule.constant(omega, resonant_gate_time(omega))
-    return (build_space(cfg.fock_cap, cfg.sector_cap),
+    return (build_space(2, 2),
             PhysParams(g=1.0, J=cfg.J_over_g, delta=cfg.Delta_over_g), schedule,
             DecayParams(kappa=cfg.kappa_over_g, gamma=cfg.gamma_over_g))
 
@@ -373,18 +382,7 @@ def run_fidelity(cfg: ExperimentConfig) -> dict:
 
 
 def run_sweep(cfg: ExperimentConfig) -> dict:
-    drives = {s: cfg.for_scheme(s).drives() for s in cfg.schemes()}
-    jobs = []
-    for value in np.linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_points).tolist():
-        if cfg.sweep_parameter == "Omega_over_g":
-            swept = {"Omega_over_g": str(value)}
-        else:
-            swept = {"kappa_over_g": value}
-            if cfg.gamma_equals_kappa:
-                swept["gamma_over_g"] = value
-        jobs += [(value, cfg.for_scheme(s, **{"Omega_over_g": str(om), **swept}))
-                 for s, oms in drives.items() for om in oms]
-
+    jobs = cfg.points()
     calls = [partial(_fidelity_point, point) for _, point in jobs]
     futures = []
     if cfg.workers > 1 and len(jobs) > 1:
@@ -420,45 +418,9 @@ def run_experiment(config: ExperimentConfig) -> dict:
     summary["config"] = asdict(cfg)
     if cfg.json_summary:
         with open(cfg.json_summary, "w") as fh:
-            json.dump(summary, fh, indent=2, default=_json_default)
+            json.dump(summary, fh, indent=2)
             fh.write("\n")
     return summary
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
-def sweep(config: ExperimentConfig, parameter: str, grid) -> dict:
-    """Programmatic sweep entry: installs the grid bounds, then runs.
-
-    A configuration records a grid as start, stop and point count, so
-    ``grid`` must be ascending and evenly spaced: it has to equal
-    ``np.linspace(grid[0], grid[-1], len(grid))`` to 1e-12 relative to its
-    largest value.  Any other grid raises ValueError.
-    """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or len(grid) < 2 or not grid[-1] > grid[0]:
-        raise ValueError("grid must be an ascending 1-D sequence of at least 2 values")
-    spaced = np.linspace(grid[0], grid[-1], len(grid))
-    if np.abs(grid - spaced).max() > 1e-12 * np.abs(grid).max():
-        raise ValueError(
-            f"grid {grid.tolist()} is not evenly spaced; a sweep runs "
-            f"np.linspace(start, stop, points), here {spaced.tolist()}"
-        )
-    cfg = replace(
-        config,
-        task="sweep",
-        sweep_parameter=parameter,
-        sweep_start=float(grid[0]),
-        sweep_stop=float(grid[-1]),
-        sweep_points=len(grid),
-    )
-    return run_experiment(cfg)
 
 
 # ---------------------------------------------------------------------------

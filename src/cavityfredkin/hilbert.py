@@ -220,9 +220,6 @@ class SparseOperator:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return SparseOperator(self.space, -self.matrix)
-
     def __matmul__(self, other):
         if isinstance(other, SparseOperator):
             self._check(other)

@@ -42,12 +42,12 @@ class PhysParams:
     delta: float = 0.0
 
     def __post_init__(self):
-        if self.g <= 0:
-            raise ValueError(f"g must be positive, got {self.g}")
-        if self.J < 0:
-            raise ValueError(f"J must be >= 0, got {self.J}")
-        if self.delta < 0:
-            raise ValueError(f"delta must be >= 0, got {self.delta}")
+        if not 0 < self.g < np.inf:
+            raise ValueError(f"g must be finite and positive, got {self.g}")
+        if not 0 <= self.J < np.inf:
+            raise ValueError(f"J must be finite and >= 0, got {self.J}")
+        if not 0 <= self.delta < np.inf:
+            raise ValueError(f"delta must be finite and >= 0, got {self.delta}")
 
     @classmethod
     def resonant(cls, g: float = 1.0, J: Optional[float] = None) -> "PhysParams":

@@ -224,8 +224,9 @@ class DecayParams:
     gamma: float = 0.0
 
     def __post_init__(self):
-        if self.kappa < 0 or self.gamma < 0:
-            raise ValueError("decay rates must be >= 0")
+        if not (0 <= self.kappa < np.inf and 0 <= self.gamma < np.inf):
+            raise ValueError(f"decay rates must be finite and >= 0, got kappa = "
+                             f"{self.kappa}, gamma = {self.gamma}")
 
     @property
     def dissipative(self) -> bool:
@@ -326,7 +327,7 @@ def check_dt(h: Union[SparseOperator, DrivenOperator], decay: Optional[DecayPara
     under a master equation (``decay`` not None) dt * :func:`decay_scale`
     <= ``_RK4_REAL_LIMIT``, so that no decay mode leaves RK4's stability
     interval on the negative real axis.  A configuration applies it to
-    the points that bound all of its points before any of them runs.
+    each of its points before any of them runs.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")

@@ -53,10 +53,10 @@ class DriveSchedule:
     def __post_init__(self):
         if self.kind not in ("constant", "adiabatic"):
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if self.peak < 0:
-            raise ValueError("peak amplitude must be >= 0")
-        if self.total_time <= 0:
-            raise ValueError("total_time must be positive")
+        if not 0 <= self.peak < np.inf:
+            raise ValueError(f"peak amplitude must be finite and >= 0, got {self.peak}")
+        if not 0 < self.total_time < np.inf:
+            raise ValueError(f"total_time must be finite and positive, got {self.total_time}")
 
     @classmethod
     def adiabatic(cls, omega_max: float) -> "DriveSchedule":

@@ -35,7 +35,7 @@ evolve_state(h, psi, 2.0, n_samples=5)
 evolve_density(h, DecayParams(kappa=0.01), np.outer(psi, psi.conj()), 2.0, n_samples=5)
 for extra in ({{"scheme": "resonant"}},
               {{"scheme": "dispersive", "kappa_over_g": 0.005, "gamma_over_g": 0.005}}):
-    run_experiment(ExperimentConfig(task="populations", Omega_over_g="0.1", fock_cap=1,
+    run_experiment(ExperimentConfig(task="populations", Omega_over_g="0.1",
                                     output={pops!r}, **extra))
 metrics = tracer.layer_metrics()
 print(json.dumps({{"finite": all(math.isfinite(v) for v, _ in metrics.values()),

@@ -19,7 +19,6 @@ from cavityfredkin.cli import (
     _fmt,
     main,
     run_experiment,
-    sweep,
 )
 
 
@@ -55,7 +54,6 @@ class TestConfig:
             "Omega_over_g = 0.1\n"
             "kappa_over_g: 0.002   # trailing comment\n"
             "\n"
-            "sector_cap = none\n"
             "Delta_over_g = none\n"
             "gamma_equals_kappa = yes\n"
             "workers: 1\n"
@@ -64,7 +62,6 @@ class TestConfig:
         assert cfg.scheme == "dispersive"
         assert cfg.Omega_over_g == "0.1"
         assert cfg.kappa_over_g == 0.002
-        assert cfg.sector_cap is None
         assert cfg.Delta_over_g is None
         assert cfg.gamma_equals_kappa is True
         assert cfg.workers == 1
@@ -121,9 +118,9 @@ class TestConfig:
             replace(base, gamma_equals_kappa=True).resolved()
 
     def test_dt_rule_is_checked_at_the_largest_drive(self):
-        """The Hamiltonian half of the dt rule bounds every point by each
-        scheme's largest drive: at dt = 0.012 the resonant pulse passes at
-        0.05 g (scale 4.01, dt <= 0.0125) and not at 0.1 g (scale 4.21)."""
+        """The Hamiltonian half of the dt rule fails first at the largest
+        drive: at dt = 0.012 the resonant pulse passes at 0.05 g (scale
+        4.01, dt <= 0.0125) and not at 0.1 g (scale 4.21)."""
         base = ExperimentConfig(task="sweep", scheme="resonant", dt_over_invg=0.012,
                                 sweep_parameter="Omega_over_g", sweep_start=0.04,
                                 sweep_stop=0.05, sweep_points=2)
@@ -133,6 +130,44 @@ class TestConfig:
         with pytest.raises(ConfigError, match="dt_over_invg.*Hamiltonian scale 4.21"):
             replace(base, Omega_over_g="0.05,0.1", sweep_parameter="kappa_over_g",
                     sweep_start=0.0, sweep_stop=0.001).resolved()
+
+    @pytest.mark.parametrize("config, count", [
+        (dict(scheme="resonant,dispersive", sweep_parameter="Omega_over_g",
+              sweep_start=0.05, sweep_stop=0.1, sweep_points=3), 6),
+        (dict(scheme="dispersive", Omega_over_g="0.05,0.1", sweep_parameter="kappa_over_g",
+              sweep_start=0.0, sweep_stop=0.01, sweep_points=3, gamma_equals_kappa=True), 6),
+    ], ids=["two-scheme-drive-sweep", "tied-kappa-sweep-with-drive-list"])
+    def test_resolved_checks_every_point_the_sweep_runs(self, tmp_path, monkeypatch,
+                                                        config, count):
+        """The dt rule is checked at exactly the (scheme, drive, kappa, gamma)
+        points whose rows the sweep writes, each once."""
+        gated, checked = [], []
+        gate, check = cli_mod._gate, cli_mod.check_dt
+
+        def recording_gate(point):
+            gated.append(point)
+            return gate(point)
+
+        def recording_check(*args):
+            p = gated[-1]
+            checked.append((p.scheme, p.drives()[0], p.kappa_over_g, p.gamma_over_g))
+            return check(*args)
+
+        def fake_point(point):
+            return {"scheme": point.scheme, "drive": point.drives()[0],
+                    "kappa": point.kappa_over_g, "gamma": point.gamma_over_g,
+                    "fidelity": 1.0, "leakage": 0.0, "trace_drift": 0.0, "seconds": 0.0}
+
+        monkeypatch.setattr(cli_mod, "_gate", recording_gate)
+        monkeypatch.setattr(cli_mod, "check_dt", recording_check)
+        monkeypatch.setattr(cli_mod, "_fidelity_point", fake_point)
+        summary = run_experiment(ExperimentConfig(task="sweep", workers=1,
+                                                  output=str(tmp_path / "s.csv"), **config))
+        rows = [(r["scheme"], r["drive"], r["kappa"], r["gamma"]) for r in summary["rows"]]
+        assert len(checked) == len(set(checked)) == count
+        assert sorted(checked) == sorted(rows)
+        if config.get("gamma_equals_kappa"):
+            assert all(kappa == gamma for _, _, kappa, gamma in checked)
 
     @pytest.mark.parametrize("pulse", ["bogus", "adiabatic"])
     def test_multi_scheme_sweep_checks_pulse(self, pulse):
@@ -199,7 +234,7 @@ class TestPopulationsTask:
         monkeypatch.setattr(propagate.LindbladGenerator, "__init__", counting)
         cfg = ExperimentConfig(
             task="populations", scheme="dispersive", Omega_over_g="0.1",
-            kappa_over_g=0.005, gamma_over_g=0.005, fock_cap=1,
+            kappa_over_g=0.005, gamma_over_g=0.005,
             output=str(tmp_path / "lossy.csv"),
         )
         summary = run_experiment(cfg)
@@ -248,7 +283,7 @@ class TestFidelityTask:
         out = tmp_path / "fid.csv"
         cfg = ExperimentConfig(
             task="fidelity", scheme="dispersive", Omega_over_g="0.1",
-            output=str(out), json_summary=str(tmp_path / "fid.json"),
+            output=str(out),
         )
         summary = run_experiment(cfg)
         header, columns, rows = read_csv(str(out))
@@ -258,8 +293,23 @@ class TestFidelityTask:
         assert rows[0]["scheme"] == "dispersive"
         assert 0.9 <= float(rows[0]["fidelity"]) <= 1.0
         assert summary["fidelity"] == pytest.approx(float(rows[0]["fidelity"]))
-        blob = json.loads((tmp_path / "fid.json").read_text())
-        assert blob["task"] == "fidelity"
+
+    @pytest.mark.parametrize("task, extra", [
+        ("fidelity", {}),
+        ("sweep", dict(sweep_parameter="Omega_over_g", sweep_start=0.08, sweep_stop=0.1,
+                       sweep_points=2, workers=1)),
+        ("populations", {}),
+    ])
+    def test_json_summary(self, tmp_path, task, extra):
+        """Every task's summary is plain JSON: a numpy value that is not a
+        Python float fails the dump."""
+        cfg = ExperimentConfig(task=task, scheme="dispersive", Omega_over_g="0.1",
+                               output=str(tmp_path / "out.csv"),
+                               json_summary=str(tmp_path / "summary.json"), **extra)
+        summary = run_experiment(cfg)
+        blob = json.loads((tmp_path / "summary.json").read_text())
+        assert blob["task"] == summary["task"] == task
+        assert blob["files"] == summary["files"]
         assert blob["config"]["scheme"] == "dispersive"
 
     def test_twelve_significant_digits(self, tmp_path):
@@ -342,24 +392,12 @@ class TestSweepTask:
 
     def test_programmatic_grid(self, tmp_path):
         cfg = ExperimentConfig(
-            scheme="dispersive", Omega_over_g="0.1",
-            output=str(tmp_path / "pg.csv"), workers=1,
+            task="sweep", scheme="dispersive", Omega_over_g="0.1",
+            sweep_parameter="kappa_over_g", sweep_start=0.0, sweep_stop=0.005,
+            sweep_points=2, output=str(tmp_path / "pg.csv"), workers=1,
         )
-        summary = sweep(cfg, "kappa_over_g", [0.0, 0.005])
+        summary = run_experiment(cfg)
         assert len(summary["rows"]) == 2
-
-    @pytest.mark.parametrize("grid", [
-        [0.02, 0.05, 0.1],  # uneven: linspace would run 0.06
-        [0.1, 0.05, 0.02],  # descending
-        [0.05, 0.05],
-        [0.05],
-        [[0.02, 0.05], [0.08, 0.1]],
-    ])
-    def test_programmatic_grid_must_be_linspace(self, tmp_path, grid):
-        cfg = ExperimentConfig(scheme="dispersive", output=str(tmp_path / "bad.csv"))
-        with pytest.raises(ValueError, match="grid"):
-            sweep(cfg, "Omega_over_g", grid)
-        assert not (tmp_path / "bad.csv").exists()
 
     def test_programmatic_grid_runs_its_values(self, tmp_path, monkeypatch):
         import cavityfredkin.cli as cli_mod
@@ -371,9 +409,11 @@ class TestSweepTask:
 
         monkeypatch.setattr(cli_mod, "_fidelity_point", fake_point)
         grid = [0.02, 0.04, 0.06, 0.08, 0.1]
-        cfg = ExperimentConfig(scheme="dispersive", output=str(tmp_path / "g.csv"),
-                               workers=1)
-        summary = sweep(cfg, "Omega_over_g", grid)
+        cfg = ExperimentConfig(task="sweep", scheme="dispersive",
+                               sweep_parameter="Omega_over_g", sweep_start=0.02,
+                               sweep_stop=0.1, sweep_points=5,
+                               output=str(tmp_path / "g.csv"), workers=1)
+        summary = run_experiment(cfg)
         assert [r["drive"] for r in summary["rows"]] == pytest.approx(grid, rel=1e-12)
 
     def test_multi_scheme_rows_equal_single_scheme_rows(self, tmp_path):
@@ -560,16 +600,46 @@ class TestMain:
          "'dt_over_invg': dt = 0.1 too large for Hamiltonian scale 4.01"),
         (["sweep", "--scheme", "resonant,dispersive", "--dt_over_invg", "0.1", *DRIVE_SWEEP],
          "'dt_over_invg': dt = 0.1 too large for Hamiltonian scale 4.17"),
+        (["fidelity", "--dt_over_invg", "0"], "'dt_over_invg': dt must be positive"),
+        (["fidelity", "--kappa_over_g", "nan"], "'kappa_over_g': cannot parse 'nan': must be finite"),
+        (["fidelity", "--gamma_over_g", "nan"], "'gamma_over_g': cannot parse 'nan': must be finite"),
+        (["fidelity", "--Omega_over_g", "nan"],
+         "'Omega_over_g': cannot parse 'nan': need finite drive strengths"),
+        (["sweep", "--Omega_over_g", ",", "--sweep_parameter", "kappa_over_g", "--sweep_start",
+          "0", "--sweep_stop", "0.01", "--sweep_points", "2"],
+         "'Omega_over_g': cannot parse ',': need finite drive strengths"),
+        (["fidelity", "--dt_over_invg", "nan"], "'dt_over_invg': cannot parse 'nan': must be finite"),
+        (["fidelity", "--J_over_g", "nan"], "'J_over_g': cannot parse 'nan': must be finite"),
+        (["fidelity", "--scheme", "dispersive", "--Delta_over_g", "nan"],
+         "'Delta_over_g': cannot parse 'nan': must be finite"),
+        (["fidelity", "--kappa_over_g", "inf"], "'kappa_over_g': cannot parse 'inf': must be finite"),
     ], ids=["resonant-delta-fidelity", "resonant-delta-sweep", "resonant-delta-populations",
-            "dispersive-zero-delta", "negative-delta", "dt-fidelity", "dt-sweep"])
+            "dispersive-zero-delta", "negative-delta", "dt-fidelity", "dt-sweep", "zero-dt",
+            "nan-kappa", "nan-gamma", "nan-drive", "no-drive", "nan-dt", "nan-J", "nan-delta", "inf-kappa"])
     def test_bad_gate_input_exits_2_without_output(self, tmp_path, capsys, argv, message):
-        """A detuning that does not suit the scheme, and a dt that breaks the
-        dt rule at any point, are configuration errors: no point runs and no
-        file is written (they used to run, or write NaN rows and exit 0)."""
+        """A detuning that does not suit the scheme, a dt that breaks the dt
+        rule at any point, and a value that is not finite are configuration
+        errors: no point runs and no file is written (they used to run, or
+        write NaN rows and exit 0, or name another field)."""
         rc = main(argv + ["--output", str(tmp_path / "never.csv")])
         assert rc == 2
         assert message in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    def test_dropped_space_key_exits_2(self, tmp_path, capsys):
+        """Every gate runs on build_space(2, 2): a file that still sets a
+        space cap names it as an unknown key."""
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text("sector_cap = 2\n")
+        rc = main(["fidelity", "--config", str(cfg_file),
+                   "--output", str(tmp_path / "never.csv")])
+        assert rc == 2
+        assert "'sector_cap': unknown configuration key" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as done:
+            main(["fidelity", "--sector_cap", "1", "--output", str(tmp_path / "never.csv")])
+        assert done.value.code == 2
+        assert "unrecognized arguments: --sector_cap 1" in capsys.readouterr().err
+        assert not (tmp_path / "never.csv").exists()
 
     def test_config_file_with_override(self, tmp_path, capsys):
         cfg_file = tmp_path / "c.cfg"

@@ -39,6 +39,12 @@ class TestPhysParams:
         with pytest.raises(ValueError):
             PhysParams(g=0.0)
 
+    @pytest.mark.parametrize("name", ["g", "J", "delta"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_values(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite.*got {value}"):
+            PhysParams(**{name: value})
+
     def test_scheme_shortcuts(self):
         assert PhysParams.resonant().delta == 0.0
         assert PhysParams.dispersive().delta == 1.0

@@ -309,6 +309,14 @@ class TestSectorRestriction:
 
 
 class TestEvolveDensity:
+    @pytest.mark.parametrize("rates", [dict(kappa=np.nan), dict(gamma=np.nan),
+                                       dict(kappa=np.inf), dict(gamma=-0.1)])
+    def test_decay_rates_must_be_finite_and_nonnegative(self, rates):
+        """A NaN rate used to pass the check and run as decay-free."""
+        value = next(iter(rates.values()))
+        with pytest.raises(ValueError, match=f"finite and >= 0.*{value}"):
+            DecayParams(**rates)
+
     def test_unitary_limit_matches_state_evolution(self, sector):
         h, t_gate = resonant_drive(sector, 0.1)
         psi0 = qubit_embedding(sector, 6)

@@ -83,6 +83,11 @@ class TestDriveSchedule:
             DriveSchedule.constant(0.1, 0.0)
         with pytest.raises(ValueError):
             DriveSchedule.constant(-0.1, 1.0)
+        for value in (np.nan, np.inf):
+            with pytest.raises(ValueError, match=f"peak amplitude must be finite.*got {value}"):
+                DriveSchedule.constant(value, 1.0)
+            with pytest.raises(ValueError, match=f"total_time must be finite.*got {value}"):
+                DriveSchedule.constant(0.1, value)
 
 
 class TestPulseArea:
